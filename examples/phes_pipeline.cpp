@@ -103,7 +103,6 @@
 #include <vector>
 
 #include "phes/io/touchstone.hpp"
-#include "phes/la/kernels.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/samples.hpp"
 #include "phes/pipeline/batch.hpp"
@@ -155,13 +154,11 @@ struct CliOptions {
   std::uint64_t to_id = 0;      ///< replay --to (0 = unbounded)
   bool campaign_csv = false;    ///< campaign: render the report as CSV
   bool campaign_table = false;  ///< campaign: render as an ASCII table
-  // Which job flags were explicitly passed: a client submit sends only
-  // those, so the rest fall back to the serve-side job defaults.
-  bool poles_set = false;
-  bool vf_iters_set = false;
-  bool warm_start_set = false;
-  bool stop_after_set = false;
-  bool kernel_set = false;
+  // The job-option flags passed, as options-object members: a client
+  // submit sends exactly these (the rest fall back to the serve-side
+  // job defaults), and `job` is this object applied over the CLI's
+  // defaults.
+  std::string job_options;
 };
 
 int usage() {
@@ -228,19 +225,10 @@ std::string read_token_file(const std::string& path) {
   return token;
 }
 
-std::size_t parse_count(const char* text, const char* flag) {
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0') {
-    throw std::invalid_argument(std::string(flag) + ": expected a number, "
-                                "got '" + text + "'");
-  }
-  return value;
-}
+using pipeline::parse_count;
 
 CliOptions parse_flags(int argc, char** argv, int first) {
   CliOptions cli;
-  cli.job.fit.num_poles = 12;
   for (int i = first; i < argc; ++i) {
     const std::string flag = argv[i];
     auto value = [&]() -> const char* {
@@ -249,31 +237,30 @@ CliOptions parse_flags(int argc, char** argv, int first) {
       }
       return argv[++i];
     };
-    if (flag == "--poles") {
-      cli.job.fit.num_poles = parse_count(value(), "--poles");
-      cli.poles_set = true;
-    } else if (flag == "--vf-iters") {
-      cli.job.fit.iterations = parse_count(value(), "--vf-iters");
-      cli.vf_iters_set = true;
+    const auto* job_flag = std::find_if(
+        std::begin(pipeline::kJobOptionFlags),
+        std::end(pipeline::kJobOptionFlags),
+        [&](const pipeline::JobOptionFlag& f) { return flag == f.flag; });
+    if (job_flag != std::end(pipeline::kJobOptionFlags)) {
+      const std::string member = pipeline::job_option_member(
+          *job_flag,
+          job_flag->value == pipeline::JobOptionFlag::Value::kOff ? ""
+                                                                  : value());
+      // Prepended: a repeated key resolves to its first occurrence, so
+      // the last flag given wins.
+      cli.job_options = cli.job_options.empty()
+                            ? member
+                            : member + ", " + cli.job_options;
     } else if (flag == "--threads") {
       cli.batch.total_threads = parse_count(value(), "--threads");
     } else if (flag == "--jobs") {
       cli.batch.job_workers = parse_count(value(), "--jobs");
     } else if (flag == "--solver-threads") {
       cli.batch.solver_threads = parse_count(value(), "--solver-threads");
-    } else if (flag == "--stop-after") {
-      cli.job.stop_after = pipeline::parse_stage(value());
-      cli.stop_after_set = true;
-    } else if (flag == "--kernel") {
-      cli.job.solver.kernel = la::parse_kernel_backend(value());
-      cli.kernel_set = true;
     } else if (flag == "--summary-json") {
       cli.summary_json = value();
     } else if (flag == "--summary-csv") {
       cli.summary_csv = value();
-    } else if (flag == "--no-warm-start") {
-      cli.job.session.warm_start = false;
-      cli.warm_start_set = true;
     } else if (flag == "--verbose") {
       cli.verbose = true;
     } else if (flag == "--queue") {
@@ -350,6 +337,10 @@ CliOptions parse_flags(int argc, char** argv, int first) {
       throw std::invalid_argument("unknown flag '" + flag + "'");
     }
   }
+  pipeline::JobOptions defaults;
+  defaults.fit.num_poles = 12;
+  cli.job = pipeline::apply_job_options(
+      server::JsonValue::parse("{" + cli.job_options + "}"), defaults);
   return cli;
 }
 
@@ -571,35 +562,6 @@ constexpr int kWaitFailed = 1;
 constexpr int kWaitCancelled = 3;
 constexpr int kWaitTimeout = 4;
 
-/// Only flags the user passed go on the wire; everything else falls
-/// back to the serve-side job defaults.
-std::string options_json_from(const CliOptions& cli) {
-  std::string options_json;
-  const auto add = [&options_json](const std::string& field) {
-    options_json += options_json.empty() ? "" : ", ";
-    options_json += field;
-  };
-  if (cli.poles_set) {
-    add("\"poles\": " + std::to_string(cli.job.fit.num_poles));
-  }
-  if (cli.vf_iters_set) {
-    add("\"vf_iters\": " + std::to_string(cli.job.fit.iterations));
-  }
-  if (cli.warm_start_set) {
-    add(std::string("\"warm_start\": ") +
-        (cli.job.session.warm_start ? "true" : "false"));
-  }
-  if (cli.stop_after_set) {
-    add("\"stop_after\": \"" +
-        std::string(pipeline::stage_name(cli.job.stop_after)) + "\"");
-  }
-  if (cli.kernel_set) {
-    add("\"kernel\": \"" +
-        std::string(la::kernel_backend_name(cli.job.solver.kernel)) + "\"");
-  }
-  return options_json;
-}
-
 int cmd_client(const std::string& endpoint_spec, const std::string& op,
                const char* id_or_file, const CliOptions& cli) {
   server::Endpoint endpoint = server::parse_endpoint(endpoint_spec);
@@ -610,7 +572,6 @@ int cmd_client(const std::string& endpoint_spec, const std::string& op,
   std::string request;
   if (op == "submit") {
     if (id_or_file == nullptr) return usage();
-    const std::string options_json = options_json_from(cli);
     if (cli.inline_submit) {
       // Ship the file's bytes: the server needs no shared filesystem.
       std::ifstream in(id_or_file, std::ios::binary);
@@ -630,8 +591,8 @@ int cmd_client(const std::string& endpoint_spec, const std::string& op,
       request =
           "{\"op\": \"submit\", \"path\": " + server::json_quote(path);
     }
-    if (!options_json.empty()) {
-      request += ", \"options\": {" + options_json + "}";
+    if (!cli.job_options.empty()) {
+      request += ", \"options\": {" + cli.job_options + "}";
     }
     request += "}";
   } else if (op == "status" || op == "result" || op == "cancel" ||

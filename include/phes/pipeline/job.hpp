@@ -30,6 +30,10 @@ namespace phes::engine {
 class SessionPool;
 }  // namespace phes::engine
 
+namespace phes::util {
+class JsonValue;
+}  // namespace phes::util
+
 namespace phes::pipeline {
 
 /// Pipeline stages in execution order.
@@ -60,6 +64,67 @@ struct JobOptions {
   /// Run stages up to and including this one, then stop.
   Stage stop_after = Stage::kVerify;
 };
+
+// ---- Job-options codec ---------------------------------------------------
+//
+// The job options travel as one JSON object under the same keys
+// everywhere: the CLI builds it from its flags, `submit` sends it, the
+// server applies it over its job defaults, and the journaled job spec
+// stores it.  These functions are the only readers and writers of those
+// keys:
+//   "poles"      VectorFittingOptions::num_poles   (non-negative integer)
+//   "vf_iters"   VectorFittingOptions::iterations  (non-negative integer)
+//   "warm_start" SessionOptions::warm_start        (bool)
+//   "stop_after" JobOptions::stop_after            (stage name)
+//   "kernel"     SolverOptions::kernel             (tuned|reference)
+
+/// One job option as a CLI flag.
+struct JobOptionFlag {
+  enum class Value {
+    kCount,  ///< takes a non-negative decimal integer
+    kName,   ///< takes a name (stage, kernel backend)
+    kOff,    ///< takes no value; sets the option to false
+  };
+  const char* flag;  ///< e.g. "--poles"
+  const char* key;   ///< options-object key, e.g. "poles"
+  Value value;
+};
+
+/// Every job option the CLI accepts, flag -> options-object key.
+inline constexpr JobOptionFlag kJobOptionFlags[] = {
+    {"--poles", "poles", JobOptionFlag::Value::kCount},
+    {"--vf-iters", "vf_iters", JobOptionFlag::Value::kCount},
+    {"--no-warm-start", "warm_start", JobOptionFlag::Value::kOff},
+    {"--stop-after", "stop_after", JobOptionFlag::Value::kName},
+    {"--kernel", "kernel", JobOptionFlag::Value::kName},
+};
+
+/// Parse a CLI count: decimal digits only, so "-1" is rejected instead
+/// of wrapping to SIZE_MAX.  Throws std::invalid_argument naming `what`.
+[[nodiscard]] std::size_t parse_count(const std::string& text,
+                                      const std::string& what);
+
+/// The options-object member (`"key": value`) that `flag` given
+/// `value` stands for; `value` is unused for a kOff flag.  Throws
+/// std::invalid_argument on a malformed count.
+[[nodiscard]] std::string job_option_member(const JobOptionFlag& flag,
+                                            const std::string& value);
+
+/// Apply an options object over `defaults`: absent keys (and unknown
+/// ones) keep the default.  A mistyped count or bool throws
+/// std::runtime_error.  An unknown (or mistyped) stage or kernel name
+/// throws unless `lenient`, which keeps the default instead (a spec
+/// journaled by a newer version stays readable).
+[[nodiscard]] JobOptions apply_job_options(const util::JsonValue& options,
+                                           JobOptions defaults,
+                                           bool lenient = false);
+
+/// The journaled options object: every key but "kernel".  The kernel
+/// backend selects the compute substrate, not the job's semantics, so
+/// a replayed job inherits the serving process's --kernel default —
+/// which is what makes `replay --all` against a server restarted with
+/// the other backend an A/B of the two over identical stored traffic.
+[[nodiscard]] std::string write_job_options_json(const JobOptions& options);
 
 /// Format of a PipelineJob's in-memory text input.
 enum class InputFormat {

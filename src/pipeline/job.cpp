@@ -1,5 +1,6 @@
 #include "phes/pipeline/job.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -8,6 +9,7 @@
 
 #include "phes/engine/session_pool.hpp"
 #include "phes/io/touchstone.hpp"
+#include "phes/la/kernels.hpp"
 #include "phes/macromodel/samples_io.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/pipeline/report.hpp"
@@ -44,6 +46,73 @@ Stage parse_stage(const std::string& name) {
   throw std::invalid_argument("unknown pipeline stage '" + name +
                               "' (expected load|fit|realize|characterize|"
                               "enforce|verify)");
+}
+
+std::size_t parse_count(const std::string& text, const std::string& what) {
+  // from_chars takes no sign for an unsigned type, so "-1" fails here
+  // instead of wrapping to SIZE_MAX the way strtoul would.
+  std::size_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc{} || end != last) {
+    throw std::invalid_argument(what + ": expected a number, got '" + text +
+                                "'");
+  }
+  return value;
+}
+
+std::string job_option_member(const JobOptionFlag& flag,
+                              const std::string& value) {
+  // Built by append: GCC 12's -Wrestrict false-positives on operator+
+  // chains under -Werror.
+  std::string member = "\"";
+  member += flag.key;
+  member += "\": ";
+  switch (flag.value) {
+    case JobOptionFlag::Value::kCount:
+      member += std::to_string(parse_count(value, flag.flag));
+      break;
+    case JobOptionFlag::Value::kName:
+      member += '"';
+      member += json_escape(value);
+      member += '"';
+      break;
+    case JobOptionFlag::Value::kOff:
+      member += "false";
+      break;
+  }
+  return member;
+}
+
+JobOptions apply_job_options(const util::JsonValue& options,
+                             JobOptions defaults, bool lenient) {
+  defaults.fit.num_poles = static_cast<std::size_t>(
+      options.uint_or("poles", defaults.fit.num_poles));
+  defaults.fit.iterations = static_cast<std::size_t>(
+      options.uint_or("vf_iters", defaults.fit.iterations));
+  defaults.session.warm_start =
+      options.bool_or("warm_start", defaults.session.warm_start);
+  const auto apply_name = [&](const char* key, auto parse, auto& target) {
+    const util::JsonValue* name = options.find(key);
+    if (name == nullptr) return;
+    try {
+      target = parse(name->as_string());
+    } catch (const std::exception&) {
+      if (!lenient) throw;
+    }
+  };
+  apply_name("stop_after", parse_stage, defaults.stop_after);
+  apply_name("kernel", la::parse_kernel_backend, defaults.solver.kernel);
+  return defaults;
+}
+
+std::string write_job_options_json(const JobOptions& options) {
+  std::ostringstream os;
+  os << "{\"poles\": " << options.fit.num_poles
+     << ", \"vf_iters\": " << options.fit.iterations
+     << ", \"warm_start\": " << (options.session.warm_start ? "true" : "false")
+     << ", \"stop_after\": \"" << stage_name(options.stop_after) << "\"}";
+  return os.str();
 }
 
 std::string PipelineResult::status() const {
@@ -110,19 +179,7 @@ std::string write_job_spec_json(const PipelineJob& job) {
   os << ", \"format\": \"" << input_format_name(job.input_format)
      << "\", \"ports\": " << job.input_ports << ", \"input_hash\": \""
      << input_content_hash(job) << "\"";
-  // The option surface the submit protocol exposes (protocol.cpp's
-  // job_options_from), under the same keys.  The kernel backend is
-  // DELIBERATELY not recorded: it selects the compute substrate, not
-  // the job's semantics, so a replayed spec inherits the serving
-  // process's --kernel default — which is exactly what makes
-  // `campaign replay --all` against a restarted server an A/B of the
-  // two backends over identical stored traffic.
-  os << ", \"options\": {\"poles\": " << job.options.fit.num_poles
-     << ", \"vf_iters\": " << job.options.fit.iterations
-     << ", \"warm_start\": "
-     << (job.options.session.warm_start ? "true" : "false")
-     << ", \"stop_after\": \"" << stage_name(job.options.stop_after)
-     << "\"}}";
+  os << ", \"options\": " << write_job_options_json(job.options) << "}";
   return os.str();
 }
 
@@ -148,23 +205,10 @@ PipelineJob read_job_spec_json(const std::string& text,
   }
   job.input_format = parse_input_format(doc.string_or("format", "auto"));
   job.input_ports = static_cast<std::size_t>(doc.uint_or("ports", 0));
-  job.options = defaults;
-  if (const util::JsonValue* options = doc.find("options")) {
-    job.options.fit.num_poles = static_cast<std::size_t>(
-        options->uint_or("poles", job.options.fit.num_poles));
-    job.options.fit.iterations = static_cast<std::size_t>(
-        options->uint_or("vf_iters", job.options.fit.iterations));
-    job.options.session.warm_start =
-        options->bool_or("warm_start", job.options.session.warm_start);
-    if (const util::JsonValue* stop = options->find("stop_after")) {
-      try {
-        job.options.stop_after = parse_stage(stop->as_string());
-      } catch (const std::exception&) {
-        // Future stage name: keep the default rather than losing the
-        // whole record.
-      }
-    }
-  }
+  const util::JsonValue* options = doc.find("options");
+  job.options = options == nullptr
+                    ? defaults
+                    : apply_job_options(*options, defaults, /*lenient=*/true);
   return job;
 }
 

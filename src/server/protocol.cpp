@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "phes/io/touchstone.hpp"
-#include "phes/la/kernels.hpp"
 #include "phes/pipeline/report.hpp"
 #include "phes/server/server.hpp"
 
@@ -58,27 +57,15 @@ std::string record_json(const JobSummary& record) {
 }
 
 /// Apply a request's "options" object over the serve-side defaults —
-/// shared by the path and inline submission ops.
+/// shared by the path and inline submission ops.  An unknown stage or
+/// kernel name throws, which the handler's catch block turns into the
+/// op's error response.
 pipeline::JobOptions job_options_from(const JobServer& server,
                                       const JsonValue& request) {
-  pipeline::JobOptions result = server.options().job_defaults;
-  if (const JsonValue* options = request.find("options")) {
-    result.fit.num_poles = static_cast<std::size_t>(
-        options->uint_or("poles", result.fit.num_poles));
-    result.fit.iterations = static_cast<std::size_t>(
-        options->uint_or("vf_iters", result.fit.iterations));
-    result.session.warm_start =
-        options->bool_or("warm_start", result.session.warm_start);
-    if (const JsonValue* stop = options->find("stop_after")) {
-      result.stop_after = pipeline::parse_stage(stop->as_string());
-    }
-    if (const JsonValue* kernel = options->find("kernel")) {
-      // "tuned" | "reference"; parse errors surface as the op's error
-      // response through the handler's catch block.
-      result.solver.kernel = la::parse_kernel_backend(kernel->as_string());
-    }
-  }
-  return result;
+  const JsonValue* options = request.find("options");
+  const pipeline::JobOptions& defaults = server.options().job_defaults;
+  return options == nullptr ? defaults
+                            : pipeline::apply_job_options(*options, defaults);
 }
 
 std::string submit_ack(const char* op, std::uint64_t id) {

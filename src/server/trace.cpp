@@ -113,13 +113,17 @@ JobTrace build_job_trace(const pipeline::PipelineResult& result,
     span.duration_ms = round_fixed(timing.seconds * 1e3);
     // The eigensolver stages carry their SolverResult's counters: the
     // characterize stage produced the initial report, verify the final
-    // one.  (Enforce re-solves internally; its cost shows up in the
-    // session totals below.)
+    // one.  Enforce carries the totals over its re-characterization
+    // rounds; EnforcementResult keeps no factorization count.
     const core::SolverResult* solver = nullptr;
     if (timing.stage == pipeline::Stage::kCharacterize) {
       solver = &result.initial_report.solver;
     } else if (timing.stage == pipeline::Stage::kVerify) {
       solver = &result.final_report.solver;
+    } else if (timing.stage == pipeline::Stage::kEnforce) {
+      span.matvecs = result.enforcement.total_matvecs;
+      span.cache_hits = result.enforcement.cache_hits;
+      span.cache_misses = result.enforcement.cache_misses;
     }
     if (solver != nullptr) {
       span.matvecs = solver->total_matvecs;

@@ -143,7 +143,7 @@ VectorFittingResult vector_fit(const macromodel::FrequencySamples& samples,
   const std::size_t k_samples = samples.count();
   util::check(p > 0, "vector_fit: empty samples");
   util::check(opt.num_poles >= 2, "vector_fit: need at least two poles");
-  util::check(2 * k_samples >= opt.num_poles + 1,
+  util::check(opt.num_poles < 2 * k_samples,
               "vector_fit: need more samples than unknowns per output");
   util::check(opt.iterations >= 1, "vector_fit: need >= 1 iteration");
 

@@ -87,6 +87,13 @@ TEST(Json, AsUintRejectsNegativesAndFractions) {
                std::runtime_error);
   EXPECT_THROW((void)JsonValue::parse("1.5").as_uint(),
                std::runtime_error);
+  // Past the uint64_t range the cast would be undefined: 2^64 is the
+  // first value rejected, 2^63 still converts exactly.
+  EXPECT_EQ(JsonValue::parse("9223372036854775808").as_uint(),
+            9223372036854775808ULL);
+  EXPECT_THROW((void)JsonValue::parse("18446744073709551616").as_uint(),
+               std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("1e20").as_uint(), std::runtime_error);
 }
 
 TEST(Json, MembersPreserveDocumentOrderIncludingDuplicates) {

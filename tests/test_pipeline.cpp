@@ -6,8 +6,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "phes/io/touchstone.hpp"
@@ -16,6 +19,7 @@
 #include "phes/pipeline/batch.hpp"
 #include "phes/pipeline/job.hpp"
 #include "phes/pipeline/report.hpp"
+#include "phes/util/json.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -40,6 +44,83 @@ TEST(Pipeline, StageNamesRoundTrip) {
     EXPECT_EQ(pipeline::parse_stage(pipeline::stage_name(stage)), stage);
   }
   EXPECT_THROW((void)pipeline::parse_stage("bogus"), std::invalid_argument);
+}
+
+// ---- Job-options codec ------------------------------------------------
+
+/// The options the codec reads and writes, comparable as one value.
+auto codec_fields(const pipeline::JobOptions& o) {
+  return std::make_tuple(o.fit.num_poles, o.fit.iterations,
+                         o.session.warm_start, o.stop_after, o.solver.kernel);
+}
+
+TEST(JobOptionsCodec, EveryFlagRoundTripsThroughTheSpec) {
+  // A non-default value for each flag-table entry.
+  const std::map<std::string, std::string> values = {
+      {"--poles", "7"},        {"--vf-iters", "3"},
+      {"--no-warm-start", ""}, {"--stop-after", "fit"},
+      {"--kernel", "reference"}};
+  ASSERT_EQ(std::size(pipeline::kJobOptionFlags), values.size());
+  const pipeline::JobOptions defaults;
+  for (const pipeline::JobOptionFlag& flag : pipeline::kJobOptionFlags) {
+    SCOPED_TRACE(flag.flag);
+    // CLI flag -> options JSON -> JobOptions.
+    const std::string member =
+        pipeline::job_option_member(flag, values.at(flag.flag));
+    EXPECT_EQ(member.rfind("\"" + std::string(flag.key) + "\": ", 0), 0u);
+    const pipeline::JobOptions applied = pipeline::apply_job_options(
+        util::JsonValue::parse("{" + member + "}"), defaults);
+    EXPECT_NE(codec_fields(applied), codec_fields(defaults));
+    // JobOptions -> spec -> JobOptions.  The kernel backend is the one
+    // option the spec leaves out, so a replay takes the server's.
+    PipelineJob job;
+    job.input_path = "m.s2p";
+    job.options = applied;
+    const pipeline::JobOptions back =
+        pipeline::read_job_spec_json(pipeline::write_job_spec_json(job))
+            .options;
+    if (std::string(flag.key) == "kernel") {
+      EXPECT_EQ(applied.solver.kernel, la::KernelBackend::kReference);
+      EXPECT_EQ(codec_fields(back), codec_fields(defaults));
+    } else {
+      EXPECT_EQ(codec_fields(back), codec_fields(applied));
+    }
+  }
+}
+
+TEST(JobOptionsCodec, CountsRejectSignsAndJunk) {
+  EXPECT_EQ(pipeline::parse_count("12", "n"), 12u);
+  for (const char* bad :
+       {"-1", "+1", " 1", "", "1x", "0x10", "99999999999999999999999"}) {
+    EXPECT_THROW((void)pipeline::parse_count(bad, "n"), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  // `--poles -1` must not reach the fit as SIZE_MAX.
+  EXPECT_THROW(
+      (void)pipeline::job_option_member(pipeline::kJobOptionFlags[0], "-1"),
+      std::invalid_argument);
+}
+
+TEST(JobOptionsCodec, UnknownNamesThrowUnlessLenient) {
+  const pipeline::JobOptions defaults;
+  for (const char* text :
+       {R"({"stop_after": "bogus"})", R"({"kernel": "bogus"})"}) {
+    SCOPED_TRACE(text);
+    const auto options = util::JsonValue::parse(text);
+    EXPECT_THROW((void)pipeline::apply_job_options(options, defaults),
+                 std::invalid_argument);
+    EXPECT_EQ(codec_fields(pipeline::apply_job_options(options, defaults,
+                                                       /*lenient=*/true)),
+              codec_fields(defaults));
+  }
+  // Unknown keys are ignored; a mistyped count is an error either way.
+  EXPECT_EQ(codec_fields(pipeline::apply_job_options(
+                util::JsonValue::parse(R"({"future": 1})"), defaults)),
+            codec_fields(defaults));
+  EXPECT_THROW((void)pipeline::apply_job_options(
+                   util::JsonValue::parse(R"({"poles": "8"})"), defaults,
+                   /*lenient=*/true),
+               std::runtime_error);
 }
 
 TEST(Pipeline, EndToEndEnforcesPassivity) {

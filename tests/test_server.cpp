@@ -238,6 +238,18 @@ TEST(Protocol, MalformedAndUnknownRequests) {
   outcome = server::handle_request(jobs, "{\"op\": \"submit\"}");
   EXPECT_NE(outcome.response.find("missing \\\"path\\\""),
             std::string::npos);
+  // Options the codec cannot apply answer "ok": false and admit nothing.
+  for (const char* options :
+       {"{\"stop_after\": \"bogus\"}", "{\"kernel\": \"bogus\"}",
+        "{\"poles\": -1}", "{\"poles\": 1e20}"}) {
+    outcome = server::handle_request(
+        jobs, std::string("{\"op\": \"submit\", \"path\": \"m.s2p\", "
+                          "\"options\": ") +
+                  options + "}");
+    EXPECT_NE(outcome.response.find("\"ok\": false"), std::string::npos)
+        << options << " -> " << outcome.response;
+  }
+  EXPECT_EQ(jobs.stats().submitted, 0u);
   outcome = server::handle_request(jobs, "{\"op\": \"result\"}");
   EXPECT_NE(outcome.response.find("missing \\\"id\\\""), std::string::npos);
   outcome = server::handle_request(jobs, "{\"op\": \"status\", \"id\": 99}");

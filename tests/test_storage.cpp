@@ -207,6 +207,14 @@ TEST(JobSpec, RoundTripsPathAndInlineJobs) {
   job.options.session.warm_start = false;
   job.options.stop_after = Stage::kCharacterize;
   const std::string spec = pipeline::write_job_spec_json(job);
+  // Spec v1 bytes are pinned: journals written by earlier builds must
+  // read back, and replays compare against them.
+  EXPECT_EQ(spec,
+            R"({"spec_version": 1, "name": "spec \"quoted\"", )"
+            R"("input_path": "/models/a.s2p", "format": "auto", "ports": 2, )"
+            R"("input_hash": "ce1a7753933a63b5", "options": {"poles": 9, )"
+            R"("vf_iters": 5, "warm_start": false, )"
+            R"("stop_after": "characterize"}})");
   const pipeline::PipelineJob back = pipeline::read_job_spec_json(spec);
   EXPECT_EQ(back.name, job.name);
   EXPECT_EQ(back.input_path, job.input_path);
@@ -219,12 +227,24 @@ TEST(JobSpec, RoundTripsPathAndInlineJobs) {
             pipeline::input_content_hash(job));
 
   pipeline::PipelineJob inline_job;
+  inline_job.name = "m";
   inline_job.input_text = "# GHz S RI R 50\n1 0 0 0 0 0 0 0 0\n";
   inline_job.input_format = pipeline::InputFormat::kTouchstone;
+  inline_job.input_ports = 2;
+  // The kernel backend is never journaled.
+  inline_job.options.solver.kernel = la::KernelBackend::kReference;
+  const std::string inline_spec = pipeline::write_job_spec_json(inline_job);
+  EXPECT_EQ(inline_spec,
+            R"({"spec_version": 1, "name": "m", )"
+            R"("input_text": "# GHz S RI R 50\n1 0 0 0 0 0 0 0 0\n", )"
+            R"("format": "touchstone", "ports": 2, )"
+            R"("input_hash": "e5598029d826139d", "options": {"poles": 16, )"
+            R"("vf_iters": 12, "warm_start": true, "stop_after": "verify"}})");
   const pipeline::PipelineJob inline_back =
-      pipeline::read_job_spec_json(pipeline::write_job_spec_json(inline_job));
+      pipeline::read_job_spec_json(inline_spec);
   EXPECT_EQ(inline_back.input_text, inline_job.input_text);
   EXPECT_EQ(inline_back.input_format, pipeline::InputFormat::kTouchstone);
+  EXPECT_EQ(inline_back.options.solver.kernel, la::KernelBackend::kTuned);
 }
 
 TEST(JobSpec, ToleratesUnknownFieldsAndRejectsInputlessSpecs) {
@@ -234,6 +254,17 @@ TEST(JobSpec, ToleratesUnknownFieldsAndRejectsInputlessSpecs) {
   ASSERT_EQ(spec.front(), '{');
   spec = "{\"spec_version\": 99, \"future\": true, " + spec.substr(1);
   EXPECT_EQ(pipeline::read_job_spec_json(spec).input_path, "m.s2p");
+
+  // A stage name from a future version keeps the reader's default
+  // instead of losing the record.
+  pipeline::JobOptions defaults;
+  defaults.stop_after = Stage::kFit;
+  const pipeline::PipelineJob future = pipeline::read_job_spec_json(
+      R"({"input_path": "m.s2p", "options": {"poles": 7, )"
+      R"("stop_after": "publish"}})",
+      defaults);
+  EXPECT_EQ(future.options.stop_after, Stage::kFit);
+  EXPECT_EQ(future.options.fit.num_poles, 7u);
 
   // A samples-direct job has nothing to replay: the writer returns an
   // empty spec and the reader refuses an inputless document.

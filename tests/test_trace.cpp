@@ -132,12 +132,16 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
   result.stage_timings = {
       {pipeline::Stage::kLoad, 0.1, 0.0},
       {pipeline::Stage::kCharacterize, 0.8, 0.1},
-      {pipeline::Stage::kVerify, 0.5, 0.9},
+      {pipeline::Stage::kEnforce, 0.3, 0.9},
+      {pipeline::Stage::kVerify, 0.5, 1.2},
   };
   result.initial_report.solver.total_matvecs = 100;
   result.initial_report.solver.factorizations = 3;
   result.initial_report.solver.cache_hits = 1;
   result.initial_report.solver.cache_misses = 2;
+  result.enforcement.total_matvecs = 70;
+  result.enforcement.cache_hits = 6;
+  result.enforcement.cache_misses = 1;
   result.final_report.solver.total_matvecs = 40;
   result.final_report.solver.cache_hits = 5;
   result.session.solves = 8;
@@ -149,16 +153,20 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
       server::build_job_trace(result, 1000.0, 1000.5, 500.0);
   EXPECT_EQ(trace.id, 7u);
   EXPECT_DOUBLE_EQ(trace.queue_wait_ms, 500.0);
-  ASSERT_EQ(trace.spans.size(), 3u);
+  ASSERT_EQ(trace.spans.size(), 4u);
   EXPECT_EQ(trace.spans[0].stage, "load");
   EXPECT_EQ(trace.spans[0].matvecs, 0u);
   EXPECT_EQ(trace.spans[1].stage, "characterize");
   EXPECT_EQ(trace.spans[1].matvecs, 100u);
   EXPECT_EQ(trace.spans[1].factorizations, 3u);
   EXPECT_EQ(trace.spans[1].cache_misses, 2u);
-  EXPECT_EQ(trace.spans[2].stage, "verify");
-  EXPECT_EQ(trace.spans[2].matvecs, 40u);
-  EXPECT_EQ(trace.spans[2].cache_hits, 5u);
+  EXPECT_EQ(trace.spans[2].stage, "enforce");
+  EXPECT_EQ(trace.spans[2].matvecs, 70u);
+  EXPECT_EQ(trace.spans[2].cache_hits, 6u);
+  EXPECT_EQ(trace.spans[2].cache_misses, 1u);
+  EXPECT_EQ(trace.spans[3].stage, "verify");
+  EXPECT_EQ(trace.spans[3].matvecs, 40u);
+  EXPECT_EQ(trace.spans[3].cache_hits, 5u);
   // Span start = job start + the stage's offset into the run.
   EXPECT_NEAR(trace.spans[1].start_unix, 1000.6, 1e-6);
   EXPECT_EQ(trace.solves, 8u);
@@ -209,10 +217,19 @@ TEST(TraceOp, FullPipelineJobYieldsOrderedSpans) {
     }
   }
   // The eigensolver stages carry solver counters; golden.s2p is
-  // non-passive, so characterization must have done real work.
+  // non-passive, so characterization and enforcement did real work.
+  EXPECT_EQ(trace.status, "enforced");
   EXPECT_GT(trace.spans[3].matvecs, 0u);   // characterize
+  EXPECT_GT(trace.spans[4].matvecs, 0u);   // enforce
   EXPECT_GT(trace.spans[5].matvecs, 0u);   // verify
   EXPECT_GT(trace.solves, 0u);
+  // Every session solve ran in one of those three stages, so their
+  // cache lookups add up to the job's session totals.
+  std::size_t stage_lookups = 0;
+  for (std::size_t i = 3; i < 6; ++i) {
+    stage_lookups += trace.spans[i].cache_hits + trace.spans[i].cache_misses;
+  }
+  EXPECT_EQ(stage_lookups, trace.cache_hits + trace.cache_misses);
 
   // The aggregate layer saw the same job: per-stage histograms and the
   // job counter are registry-backed.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/samples.hpp"
@@ -142,6 +144,17 @@ TEST(VectorFitting, RejectsBadInputs) {
   opt = VectorFittingOptions{};
   opt.num_poles = 10;
   EXPECT_THROW(vector_fit(tiny, opt), std::invalid_argument);
+  // An order near SIZE_MAX must fail the same check, not wrap past it
+  // into an enormous allocation.
+  opt.num_poles = std::numeric_limits<std::size_t>::max();
+  try {
+    (void)vector_fit(samples, opt);
+    ADD_FAILURE() << "num_poles = SIZE_MAX was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("more samples than unknowns"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(VectorFitting, EndToEndPipelineWithPassivityCheck) {
