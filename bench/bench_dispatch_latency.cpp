@@ -1,16 +1,17 @@
-// bench_dispatch_latency — ctest-registered smoke target for the
-// off-loop dispatch path: status/ping round-trip latency must stay
-// bounded while a submit is blocked on a full admission queue.
+// bench_dispatch_latency — ctest-registered smoke target for request
+// handling under admission pressure: status/ping round-trip latency on
+// one connection must stay bounded while a submit on another
+// connection is blocked on a full admission queue.
 //
 // Scenario (StageGate-deterministic): one worker parked mid-fit on a
 // gated job, a second job filling the one-slot queue, and a protocol
-// submit provably blocked in admission on a dispatch-pool worker.
-// Under PR 4's inline handling every poll below would hang until the
-// gate released; with off-loop dispatch they must complete promptly.
+// submit provably blocked in admission on its connection thread.  If
+// the blocked submit stalled the transport, every poll below would
+// hang until the gate released; they must complete promptly.
 //
 // Prints one BENCH-friendly JSON line with the latency distribution
 // and exits non-zero when any liveness invariant fails, so CI catches
-// regressions of the dispatch path, not just its correctness.
+// latency regressions of request handling, not just its correctness.
 
 #include <unistd.h>
 

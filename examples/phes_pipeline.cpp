@@ -16,14 +16,13 @@
 //       persistent workers, cross-job session pool keyed by model hash,
 //       result store.  Listens on the AF_UNIX socket, plus a TCP
 //       endpoint with `--tcp HOST:PORT --auth-token-file FILE` (remote
-//       clients authenticate with the shared token).  All connections
-//       are served by one epoll event loop; request handling runs on a
-//       small dispatch pool so status polls stay live while submits
-//       block on backpressure.  With `--data-dir DIR`, finished results
-//       spill to disk and are served again after a restart (jobs that
-//       were in flight at a crash come back as failed/lost).  Runs
-//       until a client sends the shutdown op (or SIGINT/SIGTERM, which
-//       drains gracefully).
+//       clients authenticate with the shared token).  Each connection
+//       is served by its own thread, so status polls stay live while
+//       another connection's submit blocks on backpressure.  With
+//       `--data-dir DIR`, finished results spill to disk and are served
+//       again after a restart (jobs that were in flight at a crash come
+//       back as failed/lost).  Runs until a client sends the shutdown
+//       op (or SIGINT/SIGTERM, which drains gracefully).
 //   phes_pipeline client <endpoint> <op> [args]
 //       Scripting client; prints the server's JSON response line.
 //       <endpoint> is a socket path or tcp:HOST:PORT (the latter with
@@ -74,7 +73,6 @@
 //   --retain-records <n> in-memory finished-record cap (default 4096)
 //   --retain-mb <n>      disk retention byte budget (0 = unbounded)
 //   --retain-ttl <s>     disk retention TTL in seconds (0 = forever)
-//   --dispatch-workers <n> off-loop protocol handlers (0 = inline)
 //   --trace-file <path>  append one NDJSON trace event per finished job
 //   --slow-job-ms <n>    log a stderr stage breakdown for jobs slower
 //                        than this (0 = off)
@@ -130,14 +128,13 @@ struct CliOptions {
   std::size_t queue_capacity = 64;
   bool share_sessions = true;
   std::size_t pool_sessions = 16;
-  std::size_t pool_mb = 256;
+  std::size_t pool_bytes = std::size_t{256} << 20;  ///< --pool-mb
   std::string tcp_endpoint;      ///< "HOST:PORT"; empty => no TCP listener
   std::string auth_token_file;   ///< shared token for the TCP handshake
   std::string data_dir;          ///< empty => in-memory result store
   std::size_t retain_records = 4096;
-  std::size_t retain_mb = 0;     ///< disk byte budget (0 = unbounded)
+  std::size_t retain_bytes = 0;  ///< --retain-mb (0 = unbounded)
   double retain_ttl = 0.0;       ///< disk TTL seconds (0 = forever)
-  std::size_t dispatch_workers = 2;
   std::string trace_file;    ///< NDJSON job-trace sink (serve only)
   double slow_job_ms = 0.0;  ///< stderr stage breakdown threshold
   // client-only
@@ -192,7 +189,7 @@ int usage() {
                "       --pool-mb N --tcp HOST:PORT --auth-token-file "
                "FILE\n"
                "serve: --data-dir DIR --retain-records N --retain-mb N\n"
-               "       --retain-ttl SECONDS --dispatch-workers N\n"
+               "       --retain-ttl SECONDS\n"
                "       --trace-file PATH --slow-job-ms N\n"
                "client: --timeout SECONDS --poll-ms N (wait), "
                "--no-drain (shutdown),\n"
@@ -270,7 +267,7 @@ CliOptions parse_flags(int argc, char** argv, int first) {
     } else if (flag == "--pool-sessions") {
       cli.pool_sessions = parse_count(value(), "--pool-sessions");
     } else if (flag == "--pool-mb") {
-      cli.pool_mb = parse_count(value(), "--pool-mb");
+      cli.pool_bytes = pipeline::parse_mib(value(), "--pool-mb");
     } else if (flag == "--tcp") {
       cli.tcp_endpoint = value();
     } else if (flag == "--auth-token-file") {
@@ -280,29 +277,13 @@ CliOptions parse_flags(int argc, char** argv, int first) {
     } else if (flag == "--retain-records") {
       cli.retain_records = parse_count(value(), "--retain-records");
     } else if (flag == "--retain-mb") {
-      cli.retain_mb = parse_count(value(), "--retain-mb");
+      cli.retain_bytes = pipeline::parse_mib(value(), "--retain-mb");
     } else if (flag == "--retain-ttl") {
-      const char* text = value();
-      char* end = nullptr;
-      cli.retain_ttl = std::strtod(text, &end);
-      if (end == text || *end != '\0' || cli.retain_ttl < 0.0) {
-        throw std::invalid_argument(
-            std::string("--retain-ttl: expected seconds, got '") + text +
-            "'");
-      }
-    } else if (flag == "--dispatch-workers") {
-      cli.dispatch_workers = parse_count(value(), "--dispatch-workers");
+      cli.retain_ttl = pipeline::parse_seconds(value(), "--retain-ttl");
     } else if (flag == "--trace-file") {
       cli.trace_file = value();
     } else if (flag == "--slow-job-ms") {
-      const char* text = value();
-      char* end = nullptr;
-      cli.slow_job_ms = std::strtod(text, &end);
-      if (end == text || *end != '\0' || cli.slow_job_ms < 0.0) {
-        throw std::invalid_argument(
-            std::string("--slow-job-ms: expected milliseconds, got '") +
-            text + "'");
-      }
+      cli.slow_job_ms = pipeline::parse_seconds(value(), "--slow-job-ms");
     } else if (flag == "--prom") {
       cli.prom = true;
     } else if (flag == "--poll-ms") {
@@ -324,13 +305,7 @@ CliOptions parse_flags(int argc, char** argv, int first) {
     } else if (flag == "--table") {
       cli.campaign_table = true;
     } else if (flag == "--timeout") {
-      const char* text = value();
-      char* end = nullptr;
-      cli.timeout_seconds = std::strtod(text, &end);
-      if (end == text || *end != '\0' || cli.timeout_seconds < 0.0) {
-        throw std::invalid_argument(
-            std::string("--timeout: expected seconds, got '") + text + "'");
-      }
+      cli.timeout_seconds = pipeline::parse_seconds(value(), "--timeout");
     } else if (flag == "--no-drain") {
       cli.drain = false;
     } else {
@@ -391,7 +366,7 @@ int run_batch(std::vector<pipeline::PipelineJob> jobs,
   batch.share_sessions =
       cli.share_sessions && cli.job.session.warm_start;
   batch.pool.max_idle_sessions = cli.pool_sessions;
-  batch.pool.memory_budget_bytes = cli.pool_mb << 20;
+  batch.pool.memory_budget_bytes = cli.pool_bytes;
   // Pooled sessions are configured at pool level: session flags must
   // reach them through the pool's session options.
   batch.pool.session = cli.job.session;
@@ -473,14 +448,14 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
   options.solver_threads = cli.batch.solver_threads;
   options.share_sessions = cli.share_sessions;
   options.pool.max_idle_sessions = cli.pool_sessions;
-  options.pool.memory_budget_bytes = cli.pool_mb << 20;
+  options.pool.memory_budget_bytes = cli.pool_bytes;
   // Pooled sessions are configured at pool level: --no-warm-start etc.
   // must reach them through the pool's session options.
   options.pool.session = cli.job.session;
   options.job_defaults = cli.job;
   options.max_finished_records = cli.retain_records;
   options.data_dir = cli.data_dir;
-  options.retain_bytes = cli.retain_mb << 20;
+  options.retain_bytes = cli.retain_bytes;
   options.retain_ttl_seconds = cli.retain_ttl;
   options.trace_file = cli.trace_file;
   options.slow_job_ms = cli.slow_job_ms;
@@ -512,9 +487,7 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
     transports.push_back(std::make_unique<server::TcpTransport>(
         tcp.host, tcp.port, read_token_file(cli.auth_token_file)));
   }
-  server::TransportLimits limits;
-  limits.dispatch_workers = cli.dispatch_workers;
-  server::TransportServer transport(server, std::move(transports), limits);
+  server::TransportServer transport(server, std::move(transports));
   transport.start();
 
   std::signal(SIGINT, handle_signal);

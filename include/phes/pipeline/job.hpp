@@ -104,6 +104,17 @@ inline constexpr JobOptionFlag kJobOptionFlags[] = {
 [[nodiscard]] std::size_t parse_count(const std::string& text,
                                       const std::string& what);
 
+/// Parse a CLI count of MiB into bytes; a count whose byte value does
+/// not fit in std::size_t throws instead of wrapping.
+[[nodiscard]] std::size_t parse_mib(const std::string& text,
+                                    const std::string& what);
+
+/// Parse a CLI duration: a finite number >= 0, so "nan" and "inf" are
+/// rejected instead of silently disabling a timeout.  Throws
+/// std::invalid_argument naming `what`.
+[[nodiscard]] double parse_seconds(const std::string& text,
+                                   const std::string& what);
+
 /// The options-object member (`"key": value`) that `flag` given
 /// `value` stands for; `value` is unused for a kOff flag.  Throws
 /// std::invalid_argument on a malformed count.

@@ -36,7 +36,8 @@
 // the terminal state reported by status/result is authoritative.
 // `stats` reports queue/session-pool/job counters, the result
 // storage's retention counters, and — when served through a
-// TransportServer — the transport and dispatch-pool counters; all of
+// TransportServer — the transport counters (accepted,
+// open_connections, requests, oversized_lines, auth_failures); all of
 // them are views over the same obs::MetricsRegistry the `metrics` op
 // dumps in full (see README "Observability" for the name reference).
 // `replay` resolves stored records (one id, or `all` narrowed by the
@@ -90,38 +91,25 @@ struct RequestOutcome {
 /// Transport-side counters the stats op folds into its response when
 /// the request is served through a TransportServer (the protocol layer
 /// itself has no transport to ask).
-struct TransportSnapshot {
-  std::size_t accepted = 0;          ///< connections accepted (all time)
+struct TransportStats {
+  std::size_t accepted = 0;  ///< connections accepted (all time)
   std::size_t open_connections = 0;
-  std::size_t requests = 0;          ///< lines handled (inline + pooled)
-  std::size_t inline_requests = 0;   ///< served on the loop fast path
-  std::size_t dispatched = 0;        ///< handed to the dispatch pool
-  std::size_t rejected = 0;          ///< dispatch-overload rejections
+  std::size_t requests = 0;  ///< request lines handled after auth
+  std::size_t auth_failures = 0;  ///< bad/missing token, pre-auth ops
   std::size_t oversized_lines = 0;
-  std::size_t auth_failures = 0;
-  std::size_t dispatch_workers = 0;  ///< 0 => inline handling (no pool)
-  std::size_t dispatch_queue_depth = 0;
-  std::size_t dispatch_peak_depth = 0;
-  std::size_t dispatch_completed = 0;
 };
 
 /// Provider the transport passes so `stats` can report live counters.
-using TransportSnapshotFn = std::function<TransportSnapshot()>;
+using TransportStatsFn = std::function<TransportStats()>;
 
 /// Execute one NDJSON request line against `server`.  Never throws:
 /// parse and dispatch errors come back as {"ok":false,...} responses.
 /// The shutdown op only reports the request — the caller decides when
 /// to invoke JobServer::shutdown (typically after flushing the ack).
-/// `snapshot`, when provided, feeds the stats op's transport section.
+/// `transport_stats`, when provided, feeds the stats op's transport
+/// section.
 [[nodiscard]] RequestOutcome handle_request(
     JobServer& server, const std::string& line,
-    const TransportSnapshotFn& snapshot = nullptr);
-
-/// Already-parsed variant for callers that needed the document anyway
-/// (the transport's fast path peeks at the op before deciding where to
-/// run the request — no point parsing the same line twice).
-[[nodiscard]] RequestOutcome handle_request(
-    JobServer& server, const JsonValue& request,
-    const TransportSnapshotFn& snapshot = nullptr);
+    const TransportStatsFn& transport_stats = nullptr);
 
 }  // namespace phes::server

@@ -68,7 +68,7 @@ struct ServerOptions {
   /// Base options applied to submissions that do not override them.
   pipeline::JobOptions job_defaults{};
   /// Metrics sink shared by every layer of this server (queue, workers,
-  /// storage; the TransportServer and DispatchPool join it through
+  /// storage; the TransportServer joins it through
   /// metrics_registry()).  nullptr: the server owns a private registry,
   /// so several servers in one process keep isolated counters.  Must
   /// outlive the server when set.

@@ -12,46 +12,31 @@
 //     the connection is refused.  Plain TCP — run it on a trusted
 //     network or behind a TLS terminator (see README).
 //
-// TransportServer drives any number of transports from a single
-// epoll-based event loop thread: sockets are non-blocking, every
-// connection carries its own read/write buffers, and frames are
-// newline-delimited JSON lines reassembled across partial reads (a
-// frame split over many epoll wakeups is handled, as is a response
-// split over many partial writes).  A line that grows past
-// TransportLimits::max_line_bytes without a terminator gets one error
-// response and the rest of that line is discarded — the connection
-// survives.
+// TransportServer serves any number of transports with one accept
+// thread plus one blocking thread per connection.  A connection thread
+// reads one newline-delimited JSON line, applies the auth gate, runs
+// handle_request and writes the response before it reads the next
+// line, so responses come back in request order, a submit blocked on
+// a full admission queue stalls only its own connection, and a peer
+// that stops reading stalls only its own thread (blocking-write
+// backpressure).  A line that grows past TransportLimits::max_line_bytes
+// without a terminator gets one error response and the rest of that
+// line is discarded — the connection survives.
 //
-// Request handling runs OFF the loop thread on a small DispatchPool
-// (server/dispatch.hpp): the loop frames a line, hands it to the pool,
-// and keeps serving every other connection; the completed response is
-// re-queued to the loop through the eventfd wakeup and written from
-// the loop thread (workers never touch sockets).  A submit blocked on
-// a full admission queue therefore stalls only its own connection (and
-// one pool worker) — status/stats/ping stay live.  Two refinements:
-//   - fast path: cheap ops (ping/status/result/cancel/stats/auth/
-//     shutdown) on a connection with nothing in flight are answered
-//     inline on the loop — no pool round-trip;
-//   - per-connection ordering: at most one request per connection is
-//     in the pool at a time; later frames wait in the connection's
-//     pending queue, and a connection that pipelines past
-//     max_pipelined_requests has its read interest parked until the
-//     backlog drains (flow control, not disconnect).
-// dispatch_workers = 0 restores the PR 4 inline-handling behavior.
+// Thread rules: a connection's fd is closed exactly once, by whoever
+// joins its thread (the accept thread reaps finished connections as
+// they end; stop() joins the rest), so no thread is detached and
+// stop()'s shutdown(2) never hits a reused fd.
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <list>
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "phes/server/dispatch.hpp"
 #include "phes/server/protocol.hpp"
 #include "phes/util/metrics.hpp"
 #include "phes/util/sync.hpp"
@@ -140,45 +125,11 @@ struct TransportLimits {
   /// closed outright on exceeding it, so a tokenless remote peer
   /// cannot park megabytes of buffer.
   std::size_t max_line_bytes = 8u << 20;
-  /// Bound on a connection's pending (unsendable) response bytes.  A
-  /// peer that keeps issuing requests without reading responses would
-  /// otherwise grow the out-buffer without limit — the blocking-write
-  /// backpressure of the old thread-per-connection model, restored as
-  /// a hard cap: past it the connection is dropped.
-  std::size_t max_pending_out_bytes = 16u << 20;
-  /// Off-loop protocol handlers.  Sizing: each worker can absorb one
-  /// submit blocked on admission backpressure while the loop keeps
-  /// polling; 2 is enough for liveness, more only helps when many
-  /// connections block on submits at once.  0 = handle every request
-  /// inline on the loop (the PR 4 behavior: one blocked submit stalls
-  /// every connection).
-  std::size_t dispatch_workers = 2;
-  /// Bound on the dispatch pool's task queue; with per-connection
-  /// single-flight this only fills when more than this many
-  /// connections have a request in flight — excess requests get a
-  /// "server overloaded" error instead of stalling the loop.
-  std::size_t dispatch_queue_capacity = 1024;
-  /// Frames a connection may pipeline ahead of its in-flight request
-  /// before the loop parks its read interest (resumed as the backlog
-  /// drains) — bounds per-connection memory without disconnecting.
-  std::size_t max_pipelined_requests = 128;
 };
 
-struct TransportStats {
-  std::size_t accepted = 0;       ///< connections accepted (all time)
-  std::size_t open_connections = 0;
-  std::size_t requests = 0;       ///< lines handled (inline + pooled)
-  std::size_t inline_requests = 0;  ///< answered on the loop fast path
-  std::size_t dispatched = 0;       ///< handed to the dispatch pool
-  std::size_t rejected = 0;         ///< dispatch-overload refusals
-  std::size_t auth_failures = 0;  ///< bad/missing token, pre-auth ops
-  std::size_t oversized_lines = 0;
-};
-
-/// Single-threaded epoll event loop serving the NDJSON protocol over
-/// any set of transports, with request handling on a DispatchPool.
-/// Lifecycle mirrors the old SocketServer: construct -> start() ->
-/// (clients) -> wait_shutdown()/stop().
+/// Accept thread plus one blocking thread per connection, serving the
+/// NDJSON protocol over any set of transports.  Lifecycle: construct ->
+/// start() -> (clients) -> wait_shutdown()/stop().
 class TransportServer {
  public:
   TransportServer(JobServer& server,
@@ -192,15 +143,15 @@ class TransportServer {
   TransportServer(const TransportServer&) = delete;
   TransportServer& operator=(const TransportServer&) = delete;
 
-  /// Open every listener and start the event-loop thread (plus the
-  /// dispatch pool).  Throws std::runtime_error on socket failures (no
-  /// thread is left behind).
+  /// Open every listener and start the accept thread.  Throws
+  /// std::runtime_error on socket failures (no thread is left behind).
   void start();
 
-  /// Stop the loop, join the dispatch pool, close every listener and
-  /// connection, join the thread.  Idempotent.  A dispatch worker
-  /// blocked inside a submit unblocks once the JobServer frees a slot
-  /// or shuts down — keep the JobServer alive until stop() returns.
+  /// Stop accepting, close every listener, shut down every connection
+  /// socket, join every connection thread and close its fd.
+  /// Idempotent.  A connection thread blocked inside a submit unblocks
+  /// once the JobServer frees a slot or shuts down — keep the JobServer
+  /// alive until stop() returns.
   void stop();
 
   /// Block until a client requests shutdown (or stop() is called).
@@ -209,11 +160,8 @@ class TransportServer {
   [[nodiscard]] bool shutdown_requested() const
       PHES_EXCLUDES(shutdown_mutex_);
 
+  /// The counters the protocol's stats op reports.
   [[nodiscard]] TransportStats stats() const;
-  /// Dispatch-pool counters (all zero when dispatch_workers == 0).
-  [[nodiscard]] DispatchStats dispatch_stats() const;
-  /// Combined view the protocol's stats op reports.
-  [[nodiscard]] TransportSnapshot snapshot() const;
   [[nodiscard]] const std::vector<std::unique_ptr<Transport>>& transports()
       const noexcept {
     return transports_;
@@ -222,53 +170,23 @@ class TransportServer {
  private:
   struct Connection {
     int fd = -1;
-    std::uint64_t token = 0;   ///< stable id (fds are reused by the OS)
     Transport* transport = nullptr;
-    bool authed = false;       ///< true immediately when no auth needed
-    /// Accept time — feeds the accept-to-auth latency histogram when
-    /// the transport requires the auth handshake.
-    std::chrono::steady_clock::time_point accepted_at{};
-    std::string in;            ///< bytes carried across partial reads
-    std::string out;           ///< response bytes pending write
-    std::size_t out_off = 0;   ///< sent prefix of `out`
-    bool discarding = false;   ///< dropping an oversized line
-    bool close_after_flush = false;
-    std::uint32_t armed_events = 0;  ///< epoll interest currently set
-    // Off-loop dispatch state (loop-thread-owned).
-    std::deque<std::string> pending;  ///< frames behind the in-flight one
-    bool inflight = false;     ///< one request in the pool
-    bool paused = false;       ///< read interest parked (flow control)
+    /// Set as the thread's last act: joining it will not block.
+    std::atomic<bool> finished{false};
+    std::thread thread;
   };
 
-  void loop();
+  void accept_loop();
   void accept_ready(std::size_t listener_index);
-  void read_ready(Connection& conn);
-  void write_ready(Connection& conn);
-  /// Frame + dispatch everything complete in conn.in.
-  void process_buffer(Connection& conn);
-  void handle_line(Connection& conn, const std::string& line);
-  /// Run one request inline on the loop thread and answer it
-  /// (including the shutdown ack/flush/close sequence).
-  void handle_inline(Connection& conn, const std::string& line);
-  /// Answer a finished outcome on the loop thread (shutdown included).
-  void finish_outcome(Connection& conn, const RequestOutcome& outcome);
-  /// Feed the connection's pending frames to the pool (one in flight).
-  void pump_dispatch(Connection& conn);
-  /// Apply finished pool outcomes queued by the completion callback.
-  void drain_completions() PHES_EXCLUDES(completions_mutex_);
-  void enqueue(Connection& conn, const std::string& response_line);
-  /// Answer an over-bound request line (error response; pre-auth
-  /// connections are additionally closed).  The caller has already
-  /// adjusted conn.in / conn.discarding.
-  void reject_oversized(Connection& conn, std::size_t max_line);
-  /// Flush conn.out with a bounded poll loop (shutdown-ack path only:
-  /// the ack must reach the peer before the owner tears us down).
-  void flush_blocking(Connection& conn);
-  void update_epoll(Connection& conn);
-  void close_connection(int fd);
+  /// Join and close every connection whose thread has finished.
+  void reap_finished();
+  /// Connection thread body: serve lines until EOF, error, refusal or
+  /// a shutdown op.  Never closes the fd.
+  void serve(Connection& conn);
+  void serve_lines(int fd, const Transport& transport);
   void note_shutdown(bool drain) PHES_EXCLUDES(shutdown_mutex_);
-  /// Kick the loop out of epoll_wait (completion arrived / stop()).
-  void notify_loop();
+  /// Kick the accept thread out of poll (a connection ended / stop()).
+  void wake();
   /// Resolve the instrument handles from the JobServer's registry
   /// (construction only).
   void resolve_instruments();
@@ -278,44 +196,36 @@ class TransportServer {
   TransportLimits limits_;
 
   std::vector<int> listen_fds_;  ///< parallel to transports_
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: stop() and completions kick the loop
+  int wake_fd_ = -1;  ///< eventfd: stop() and ending connections
   /// Reserve descriptor sacrificed to accept+close a pending
   /// connection under EMFILE/ENFILE (else the level-triggered listener
-  /// event busy-spins the loop).
+  /// readiness busy-spins the accept thread).
   int reserve_fd_ = -1;
-  std::thread loop_thread_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 
-  /// Owned by the loop thread between start() and join.
-  std::unordered_map<int, std::unique_ptr<Connection>> connections_;
-  std::unordered_map<std::uint64_t, int> token_to_fd_;
-  std::uint64_t next_token_ = 0;
-
-  std::unique_ptr<DispatchPool> dispatch_pool_;  ///< null when inline
-  util::Mutex completions_mutex_;
-  std::deque<std::pair<std::uint64_t, RequestOutcome>> completions_
-      PHES_GUARDED_BY(completions_mutex_);
+  /// Owned by the accept thread between start() and its join in stop().
+  std::list<Connection> connections_;
 
   // Transport-layer instruments, resolved once at construction from the
   // JobServer's registry; TransportStats is a view over these (every
   // field is a single atomic, so no stats mutex is needed).
   obs::Counter* accepted_ctr_ = nullptr;
   obs::Counter* requests_ctr_ = nullptr;
-  obs::Counter* inline_requests_ctr_ = nullptr;
-  obs::Counter* dispatched_ctr_ = nullptr;
-  obs::Counter* rejected_ctr_ = nullptr;
   obs::Counter* auth_failures_ctr_ = nullptr;
   obs::Counter* oversized_ctr_ = nullptr;
+  obs::Counter* spawn_failures_ctr_ = nullptr;
   obs::Gauge* open_connections_gauge_ = nullptr;
   obs::Histogram* accept_to_auth_hist_ = nullptr;
-  obs::Histogram* inline_handle_hist_ = nullptr;
+  obs::Histogram* handle_hist_ = nullptr;
 
   mutable util::Mutex shutdown_mutex_;
   util::CondVar shutdown_cv_;
   bool shutdown_requested_ PHES_GUARDED_BY(shutdown_mutex_) = false;
   bool drain_ PHES_GUARDED_BY(shutdown_mutex_) = true;
+
+  /// Declared last: it uses every member above.
+  std::thread accept_thread_;
 };
 
 /// Constant-time token comparison (length leaks, contents do not).

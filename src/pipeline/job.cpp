@@ -1,7 +1,10 @@
 #include "phes/pipeline/job.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -57,6 +60,26 @@ std::size_t parse_count(const std::string& text, const std::string& what) {
   if (error != std::errc{} || end != last) {
     throw std::invalid_argument(what + ": expected a number, got '" + text +
                                 "'");
+  }
+  return value;
+}
+
+std::size_t parse_mib(const std::string& text, const std::string& what) {
+  const std::size_t mib = parse_count(text, what);
+  if (mib > (std::numeric_limits<std::size_t>::max() >> 20)) {
+    throw std::invalid_argument(what + ": " + text +
+                                " MiB does not fit in a byte count");
+  }
+  return mib << 20;
+}
+
+double parse_seconds(const std::string& text, const std::string& what) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value) ||
+      value < 0.0) {
+    throw std::invalid_argument(
+        what + ": expected a finite number >= 0, got '" + text + "'");
   }
   return value;
 }

@@ -278,7 +278,7 @@ std::string handle_campaign(JobServer& server, const JsonValue& request) {
 }
 
 std::string handle_stats(JobServer& server,
-                         const TransportSnapshotFn& snapshot) {
+                         const TransportStatsFn& transport_stats) {
   const ServerStats stats = server.stats();
   std::ostringstream os;
   os << "{\"ok\": true, \"submitted\": " << stats.submitted
@@ -306,20 +306,13 @@ std::string handle_stats(JobServer& server,
      << ", \"evicted\": " << stats.storage.evicted
      << ", \"recovered\": " << stats.storage.recovered
      << ", \"lost\": " << stats.storage.lost << "}";
-  if (snapshot) {
-    const TransportSnapshot t = snapshot();
+  if (transport_stats) {
+    const TransportStats t = transport_stats();
     os << ", \"transport\": {\"accepted\": " << t.accepted
        << ", \"open_connections\": " << t.open_connections
        << ", \"requests\": " << t.requests
-       << ", \"inline_requests\": " << t.inline_requests
-       << ", \"dispatched\": " << t.dispatched
-       << ", \"rejected\": " << t.rejected
        << ", \"oversized_lines\": " << t.oversized_lines
        << ", \"auth_failures\": " << t.auth_failures << "}";
-    os << ", \"dispatch\": {\"workers\": " << t.dispatch_workers
-       << ", \"queue_depth\": " << t.dispatch_queue_depth
-       << ", \"peak_depth\": " << t.dispatch_peak_depth
-       << ", \"completed\": " << t.dispatch_completed << "}";
   }
   os << ", \"jobs\": {";
   for (std::size_t i = 0; i < stats.states.size(); ++i) {
@@ -366,20 +359,10 @@ std::string handle_trace(JobServer& server, const JsonValue& request) {
 }  // namespace
 
 RequestOutcome handle_request(JobServer& server, const std::string& line,
-                              const TransportSnapshotFn& snapshot) {
-  try {
-    return handle_request(server, JsonValue::parse(line), snapshot);
-  } catch (const std::exception& e) {
-    RequestOutcome outcome;
-    outcome.response = error_response(e.what());
-    return outcome;
-  }
-}
-
-RequestOutcome handle_request(JobServer& server, const JsonValue& request,
-                              const TransportSnapshotFn& snapshot) {
+                              const TransportStatsFn& transport_stats) {
   RequestOutcome outcome;
   try {
+    const JsonValue request = JsonValue::parse(line);
     const std::string op = request.string_or("op", "");
     if (op == "ping") {
       outcome.response = "{\"ok\": true, \"op\": \"ping\"}";
@@ -405,7 +388,7 @@ RequestOutcome handle_request(JobServer& server, const JsonValue& request,
     } else if (op == "campaign") {
       outcome.response = handle_campaign(server, request);
     } else if (op == "stats") {
-      outcome.response = handle_stats(server, snapshot);
+      outcome.response = handle_stats(server, transport_stats);
     } else if (op == "metrics") {
       outcome.response = handle_metrics(server);
     } else if (op == "trace") {

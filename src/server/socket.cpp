@@ -19,44 +19,10 @@ namespace phes::server {
 
 namespace {
 
+using detail::ReadLine;
+using detail::read_line;
 using detail::throw_errno;
-
-/// Write all of `data` (+ '\n') to fd; false on any failure.
-/// MSG_NOSIGNAL: a peer that disconnected before reading must produce
-/// EPIPE (this connection ends), not a process-killing SIGPIPE.
-bool write_line(int fd, const std::string& data) {
-  std::string out = data;
-  out += '\n';
-  std::size_t off = 0;
-  while (off < out.size()) {
-    const ssize_t n =
-        ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Read up to the next '\n' using `carry` as the cross-call buffer.
-/// False on EOF/error before a full line arrived.
-bool read_line(int fd, std::string& carry, std::string& line) {
-  for (;;) {
-    const std::size_t nl = carry.find('\n');
-    if (nl != std::string::npos) {
-      line = carry.substr(0, nl);
-      carry.erase(0, nl + 1);
-      return true;
-    }
-    char buf[4096];
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    carry.append(buf, static_cast<std::size_t>(n));
-  }
-}
+using detail::write_line;
 
 int connect_unix(const std::string& path) {
   const sockaddr_un addr = detail::make_unix_address(path);
@@ -174,7 +140,7 @@ std::string Client::request(const std::string& line) {
   if (fd_ < 0) throw std::runtime_error("Client: not connected");
   if (!write_line(fd_, line)) throw_errno("Client: write");
   std::string response;
-  if (!read_line(fd_, buffer_, response)) {
+  if (read_line(fd_, buffer_, response) != ReadLine::kLine) {
     throw std::runtime_error("Client: server closed the connection");
   }
   return response;

@@ -6,7 +6,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -16,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "net_util.hpp"
@@ -27,7 +27,9 @@ namespace phes::server {
 namespace {
 
 using detail::make_unix_address;
+using detail::ReadLine;
 using detail::throw_errno;
+using detail::write_line;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -41,20 +43,6 @@ void set_nonblocking(int fd) {
 /// max_line_bytes — that would let a tokenless remote peer park MiBs
 /// per connection.
 constexpr std::size_t kPreAuthMaxLineBytes = 4096;
-
-/// Lines at most this long are parsed on the loop thread to check for
-/// a fast-path op; anything larger (inline submit payloads) goes to
-/// the pool without a speculative parse.
-constexpr std::size_t kFastPathMaxBytes = 4096;
-
-/// Ops safe to answer inline on the loop: everything except the
-/// submits and the replay ops, which admit jobs and can block on
-/// admission backpressure.
-bool is_fast_op(const JsonValue& request) {
-  const std::string op = request.string_or("op", "");
-  return op != "submit" && op != "submit_inline" && op != "replay" &&
-         op != "resubmit";
-}
 
 }  // namespace
 
@@ -228,19 +216,16 @@ void TransportServer::resolve_instruments() {
   obs::MetricsRegistry& registry = server_.metrics_registry();
   accepted_ctr_ = &registry.counter("phes_transport_accepted_total");
   requests_ctr_ = &registry.counter("phes_transport_requests_total");
-  inline_requests_ctr_ =
-      &registry.counter("phes_transport_inline_requests_total");
-  dispatched_ctr_ = &registry.counter("phes_transport_dispatched_total");
-  rejected_ctr_ = &registry.counter("phes_transport_rejected_total");
   auth_failures_ctr_ =
       &registry.counter("phes_transport_auth_failures_total");
   oversized_ctr_ = &registry.counter("phes_transport_oversized_lines_total");
+  spawn_failures_ctr_ =
+      &registry.counter("phes_transport_spawn_failures_total");
   open_connections_gauge_ =
       &registry.gauge("phes_transport_open_connections");
   accept_to_auth_hist_ =
       &registry.histogram("phes_transport_accept_to_auth_seconds");
-  inline_handle_hist_ =
-      &registry.histogram("phes_transport_inline_handle_seconds");
+  handle_hist_ = &registry.histogram("phes_transport_inline_handle_seconds");
 }
 
 TransportServer::~TransportServer() { stop(); }
@@ -255,142 +240,84 @@ void TransportServer::start() {
     for (const auto& transport : transports_) {
       listen_fds_.push_back(transport->open_listener());
     }
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) throw_errno("epoll_create1()");
     wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     if (wake_fd_ < 0) throw_errno("eventfd()");
     reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = wake_fd_;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
-      throw_errno("epoll_ctl(wakeup)");
-    }
-    for (const int fd : listen_fds_) {
-      ev.events = EPOLLIN;
-      ev.data.fd = fd;
-      if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-        throw_errno("epoll_ctl(listener)");
-      }
-    }
+    accept_thread_ = std::thread([this] { accept_loop(); });
   } catch (...) {
     for (std::size_t i = 0; i < listen_fds_.size(); ++i) {
       ::close(listen_fds_[i]);
       transports_[i]->close_listener();
     }
     listen_fds_.clear();
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
     if (wake_fd_ >= 0) ::close(wake_fd_);
     if (reserve_fd_ >= 0) ::close(reserve_fd_);
-    epoll_fd_ = wake_fd_ = reserve_fd_ = -1;
+    wake_fd_ = reserve_fd_ = -1;
     throw;
   }
-  if (limits_.dispatch_workers > 0) {
-    dispatch_pool_ = std::make_unique<DispatchPool>(
-        limits_.dispatch_workers, limits_.dispatch_queue_capacity,
-        [this](const std::string& line) {
-          return handle_request(server_, line,
-                                [this] { return snapshot(); });
-        },
-        [this](std::uint64_t token, RequestOutcome outcome) {
-          {
-            util::MutexLock lock(completions_mutex_);
-            completions_.emplace_back(token, std::move(outcome));
-          }
-          notify_loop();
-        },
-        &server_.metrics_registry());
-  }
   started_ = true;
-  loop_thread_ = std::thread([this] { loop(); });
 }
 
 void TransportServer::stop() {
   if (!started_) return;
   if (!stopping_.exchange(true)) {
-    // The only cross-thread poke: the loop owns every other resource.
-    notify_loop();
-    if (loop_thread_.joinable()) loop_thread_.join();
-    // Join the pool before closing fds: workers may still push
-    // completions and poke the (still-open) eventfd while finishing.
-    if (dispatch_pool_) dispatch_pool_->stop();
-    for (auto& [fd, conn] : connections_) {
-      ::shutdown(fd, SHUT_RDWR);
-      ::close(fd);
-    }
-    open_connections_gauge_->set(0);
-    connections_.clear();
-    token_to_fd_.clear();
+    wake();
+    accept_thread_.join();
     for (std::size_t i = 0; i < listen_fds_.size(); ++i) {
       ::close(listen_fds_[i]);
       transports_[i]->close_listener();
     }
     listen_fds_.clear();
-    ::close(epoll_fd_);
+    // Unblock every connection thread's read or write; each fd stays
+    // open (so its number cannot be reused) until its thread is joined.
+    for (Connection& conn : connections_) ::shutdown(conn.fd, SHUT_RDWR);
+    for (Connection& conn : connections_) {
+      conn.thread.join();
+      ::close(conn.fd);
+    }
+    connections_.clear();
+    open_connections_gauge_->set(0);
     ::close(wake_fd_);
     if (reserve_fd_ >= 0) ::close(reserve_fd_);
-    epoll_fd_ = wake_fd_ = reserve_fd_ = -1;
+    wake_fd_ = reserve_fd_ = -1;
     note_shutdown(true);  // release wait_shutdown() on local stop
   }
 }
 
-void TransportServer::notify_loop() {
+void TransportServer::wake() {
   const std::uint64_t one = 1;
-  if (wake_fd_ >= 0) (void)!::write(wake_fd_, &one, sizeof one);
+  (void)!::write(wake_fd_, &one, sizeof one);
 }
 
-void TransportServer::loop() {
-  constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
-    if (n < 0) {
+void TransportServer::accept_loop() {
+  std::vector<pollfd> fds{{wake_fd_, POLLIN, 0}};
+  for (const int fd : listen_fds_) fds.push_back({fd, POLLIN, 0});
+  for (;;) {
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
       if (errno == EINTR) continue;
-      return;  // epoll fd gone: stop() is tearing us down
+      return;
     }
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
-        // Completions and stop() share the eventfd; drain the counter,
-        // apply finished outcomes, and only exit when stop() asked.
-        std::uint64_t count = 0;
-        (void)!::read(wake_fd_, &count, sizeof count);
-        if (stopping_.load(std::memory_order_acquire)) return;
-        drain_completions();
-        continue;
-      }
-      bool is_listener = false;
-      for (std::size_t t = 0; t < listen_fds_.size(); ++t) {
-        if (fd == listen_fds_[t]) {
-          accept_ready(t);
-          is_listener = true;
-          break;
-        }
-      }
-      if (is_listener) continue;
-      const auto it = connections_.find(fd);
-      if (it == connections_.end()) continue;  // closed earlier this wake
-      Connection& conn = *it->second;
-      if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        close_connection(fd);
-        continue;
-      }
-      if ((events[i].events & EPOLLOUT) != 0) write_ready(conn);
-      if (connections_.count(fd) == 0) continue;  // closed by the flush
-      if ((events[i].events & EPOLLIN) != 0) read_ready(conn);
+    if (fds[0].revents != 0) {
+      std::uint64_t count = 0;
+      (void)!::read(wake_fd_, &count, sizeof count);
+      if (stopping_.load(std::memory_order_acquire)) return;
     }
+    for (std::size_t i = 1; i < fds.size(); ++i) {
+      if ((fds[i].revents & POLLIN) != 0) accept_ready(i - 1);
+    }
+    reap_finished();
   }
 }
 
 void TransportServer::accept_ready(std::size_t listener_index) {
   for (;;) {
     const int fd = ::accept4(listen_fds_[listener_index], nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+                             SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
       if (errno == EMFILE || errno == ENFILE) {
         // fd exhaustion: the pending connection stays queued and the
-        // level-triggered listener event would refire every epoll_wait
+        // level-triggered listener readiness would refire every poll
         // (a 100% CPU spin).  Shed it through the reserve descriptor:
         // free the reserve, accept+close the connection, re-arm.
         if (reserve_fd_ >= 0) {
@@ -404,364 +331,116 @@ void TransportServer::accept_ready(std::size_t listener_index) {
       }
       return;  // EAGAIN (drained) or listener failure
     }
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    conn->token = ++next_token_;
-    conn->transport = transports_[listener_index].get();
-    conn->transport->configure_connection(fd);
-    conn->authed = !conn->transport->requires_auth();
-    conn->accepted_at = std::chrono::steady_clock::now();
-    conn->armed_events = EPOLLIN;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    accepted_ctr_->add();
+    Transport& transport = *transports_[listener_index];
+    transport.configure_connection(fd);
+    Connection& conn = connections_.emplace_back();
+    conn.fd = fd;
+    conn.transport = &transport;
+    try {
+      conn.thread = std::thread([this, &conn] { serve(conn); });
+    } catch (const std::system_error&) {
+      // No thread will ever own this fd: close it here.
       ::close(fd);
+      connections_.pop_back();
+      spawn_failures_ctr_->add();
       continue;
     }
-    token_to_fd_[conn->token] = fd;
-    connections_.emplace(fd, std::move(conn));
-    accepted_ctr_->add();
     open_connections_gauge_->add();
   }
 }
 
-void TransportServer::read_ready(Connection& conn) {
-  const int fd = conn.fd;
-  char buf[16384];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      close_connection(fd);
-      return;
+void TransportServer::reap_finished() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (!it->finished.load(std::memory_order_acquire)) {
+      ++it;
+      continue;
     }
-    if (n == 0) {  // peer closed; flush nothing, just drop
-      close_connection(fd);
-      return;
-    }
-    conn.in.append(buf, static_cast<std::size_t>(n));
-    process_buffer(conn);
-    if (connections_.count(fd) == 0) return;  // closed while processing
-    if (conn.close_after_flush) break;        // stop reading more input
-    if (conn.paused) break;  // flow control: resume after the backlog
+    it->thread.join();
+    ::close(it->fd);
+    open_connections_gauge_->sub();
+    it = connections_.erase(it);
   }
 }
 
-void TransportServer::process_buffer(Connection& conn) {
-  const int fd = conn.fd;
+void TransportServer::serve(Connection& conn) {
+  try {
+    serve_lines(conn.fd, *conn.transport);
+  } catch (const std::exception&) {
+    // Allocation failure mid-request: the peer sees the connection
+    // end; every other connection keeps being served.
+  }
+  conn.finished.store(true, std::memory_order_release);
+  wake();
+}
+
+void TransportServer::serve_lines(int fd, const Transport& transport) {
+  const auto accepted_at = std::chrono::steady_clock::now();
+  bool authed = !transport.requires_auth();
+  std::string carry;
+  std::string line;
   for (;;) {
-    if (conn.paused) return;  // backlog bound hit; resumed by the drain
-    // Recomputed per line: the limit widens once the auth line passed.
     const std::size_t max_line =
-        conn.authed ? limits_.max_line_bytes : kPreAuthMaxLineBytes;
-    if (conn.discarding) {
-      // Drop the remainder of an oversized line; resume after its '\n'.
-      const std::size_t nl = conn.in.find('\n');
-      if (nl == std::string::npos) {
-        conn.in.clear();
+        authed ? limits_.max_line_bytes : kPreAuthMaxLineBytes;
+    const ReadLine read = detail::read_line(fd, carry, line, max_line);
+    if (read == ReadLine::kClosed) return;
+    if (read == ReadLine::kTooLong) {
+      oversized_ctr_->add();
+      const std::string error =
+          "{\"ok\": false, \"error\": \"request line exceeds " +
+          std::to_string(max_line) + " bytes\"}";
+      // An unauthenticated peer flooding over-bound lines never reaches
+      // the auth op: refuse and close, like any other pre-auth
+      // misbehaviour.  Authenticated connections survive (the rest of
+      // the line is discarded, framing stays intact).
+      if (!authed) {
+        auth_failures_ctr_->add();
+        (void)write_line(fd, error);
         return;
       }
-      conn.in.erase(0, nl + 1);
-      conn.discarding = false;
-    }
-    const std::size_t nl = conn.in.find('\n');
-    if (nl == std::string::npos) {
-      if (conn.in.size() > max_line) {
-        // Flip to discard mode BEFORE reject_oversized: a write
-        // failure inside it closes the connection and `conn` dangles.
-        conn.in.clear();
-        conn.discarding = true;
-        reject_oversized(conn, max_line);
-        if (connections_.count(fd) == 0) return;
-        if (conn.close_after_flush) return;
-        continue;  // keep scanning for the terminator of the long line
-      }
-      return;  // wait for more bytes (frame split across wakeups)
-    }
-    if (nl > max_line) {
-      // The whole line arrived in one read, terminator included: still
-      // over the bound, but nothing needs discarding.
-      conn.in.erase(0, nl + 1);
-      reject_oversized(conn, max_line);
-      if (connections_.count(fd) == 0) return;
-      if (conn.close_after_flush) return;
+      if (!write_line(fd, error) || !detail::skip_line(fd, carry)) return;
       continue;
     }
-    std::string line = conn.in.substr(0, nl);
-    conn.in.erase(0, nl + 1);
     if (!line.empty() && line.back() == '\r') line.pop_back();
-    handle_line(conn, line);
-    if (connections_.count(fd) == 0) return;  // closed by the handler
-    if (conn.close_after_flush) return;       // no further requests
-  }
-}
-
-void TransportServer::reject_oversized(Connection& conn,
-                                       std::size_t max_line) {
-  oversized_ctr_->add();
-  if (!conn.authed) auth_failures_ctr_->add();
-  // An unauthenticated peer flooding over-bound lines never reaches
-  // the auth op: refuse and close, like any other pre-auth
-  // misbehaviour.  Authenticated connections survive (the line was
-  // discarded, framing is intact).
-  if (!conn.authed) conn.close_after_flush = true;
-  enqueue(conn, "{\"ok\": false, \"error\": \"request line exceeds " +
-                    std::to_string(max_line) + " bytes\"}");
-}
-
-void TransportServer::handle_line(Connection& conn, const std::string& line) {
-  if (!conn.authed) {
-    // First line on an authenticated transport MUST be the auth op.
-    bool ok = false;
-    try {
-      const JsonValue request = JsonValue::parse(line);
-      ok = request.string_or("op", "") == "auth" &&
-           tokens_equal(request.string_or("token", ""),
-                        conn.transport->auth_token());
-    } catch (const std::exception&) {
-      ok = false;
-    }
-    if (!ok) {
-      auth_failures_ctr_->add();
-      // Close once the refusal is flushed (enqueue's write path honours
-      // close_after_flush, or EPOLLOUT finishes the job later).
-      conn.close_after_flush = true;
-      enqueue(conn,
-              "{\"ok\": false, \"error\": \"authentication required\"}");
-      return;
-    }
-    conn.authed = true;
-    accept_to_auth_hist_->observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      conn.accepted_at)
-            .count());
-    enqueue(conn, "{\"ok\": true, \"op\": \"auth\"}");
-    return;
-  }
-  requests_ctr_->add();
-  if (!dispatch_pool_) {
-    // Inline mode (dispatch_workers == 0): a submit hitting a full
-    // queue blocks the loop here until a worker frees a slot.
-    handle_inline(conn, line);
-    return;
-  }
-  // Fast path: cheap ops on an idle connection skip the pool — but
-  // never overtake a queued request (per-connection response order).
-  // The line is parsed once here and the document reused by the
-  // handler; lines that do not parse are also answered inline (the
-  // error response is immediate).
-  const bool busy = conn.inflight || !conn.pending.empty();
-  if (!busy && line.size() <= kFastPathMaxBytes) {
-    bool parsed = false;
-    JsonValue request;
-    try {
-      request = JsonValue::parse(line);
-      parsed = true;
-    } catch (const std::exception&) {
-    }
-    if (!parsed || is_fast_op(request)) {
-      inline_requests_ctr_->add();
-      const util::WallTimer inline_timer;
-      RequestOutcome outcome =
-          parsed ? handle_request(server_, request,
-                                  [this] { return snapshot(); })
-                 : handle_request(server_, line);
-      inline_handle_hist_->observe(inline_timer.seconds());
-      finish_outcome(conn, outcome);
-      return;
-    }
-  }
-  const int fd = conn.fd;  // conn may be destroyed inside the pump
-  conn.pending.push_back(line);
-  pump_dispatch(conn);
-  if (connections_.count(fd) == 0) return;
-  if (!conn.paused &&
-      conn.pending.size() >= limits_.max_pipelined_requests) {
-    conn.paused = true;  // park the read side; drain resumes it
-    update_epoll(conn);
-  }
-}
-
-void TransportServer::handle_inline(Connection& conn,
-                                    const std::string& line) {
-  finish_outcome(conn,
-                 handle_request(server_, line, [this] { return snapshot(); }));
-}
-
-void TransportServer::finish_outcome(Connection& conn,
-                                     const RequestOutcome& outcome) {
-  const int fd = conn.fd;
-  if (!outcome.shutdown_requested) {
-    enqueue(conn, outcome.response);
-    return;
-  }
-  // The ack must reach the peer before the owner (woken by
-  // note_shutdown) tears the transport down; flush it now.
-  conn.close_after_flush = true;
-  enqueue(conn, outcome.response);
-  if (connections_.count(fd) != 0) {
-    flush_blocking(conn);
-    if (connections_.count(fd) != 0) close_connection(fd);
-  }
-  note_shutdown(outcome.drain);
-}
-
-void TransportServer::pump_dispatch(Connection& conn) {
-  // Saved before any enqueue(): a write failure (or out-buffer bound)
-  // inside it destroys the Connection, and `conn` must not be touched
-  // once connections_ no longer holds this fd.
-  const int fd = conn.fd;
-  while (!conn.inflight && !conn.pending.empty()) {
-    if (dispatch_pool_->try_submit(conn.token, conn.pending.front())) {
-      conn.pending.pop_front();
-      conn.inflight = true;
-      dispatched_ctr_->add();
-      return;
-    }
-    // Pool queue full: answer in order rather than stalling the loop.
-    conn.pending.pop_front();
-    rejected_ctr_->add();
-    enqueue(conn, "{\"ok\": false, \"error\": \"server overloaded: "
-                  "dispatch queue full\"}");
-    if (connections_.count(fd) == 0) return;  // conn destroyed
-  }
-}
-
-void TransportServer::drain_completions() {
-  std::deque<std::pair<std::uint64_t, RequestOutcome>> batch;
-  {
-    util::MutexLock lock(completions_mutex_);
-    batch.swap(completions_);
-  }
-  for (auto& [token, outcome] : batch) {
-    Connection* conn = nullptr;
-    const auto token_it = token_to_fd_.find(token);
-    if (token_it != token_to_fd_.end()) {
-      const auto it = connections_.find(token_it->second);
-      if (it != connections_.end()) conn = it->second.get();
-    }
-    if (outcome.shutdown_requested) {
-      // A shutdown op that queued behind a submit: honour it even if
-      // the requesting connection is already gone.
-      if (conn != nullptr) {
-        conn->inflight = false;
-        conn->close_after_flush = true;
-        const int fd = conn->fd;
-        enqueue(*conn, outcome.response);
-        if (connections_.count(fd) != 0) {
-          flush_blocking(*conn);
-          if (connections_.count(fd) != 0) close_connection(fd);
-        }
+    if (!authed) {
+      // First line on an authenticated transport MUST be the auth op.
+      bool ok = false;
+      try {
+        const JsonValue request = JsonValue::parse(line);
+        ok = request.string_or("op", "") == "auth" &&
+             tokens_equal(request.string_or("token", ""),
+                          transport.auth_token());
+      } catch (const std::exception&) {
+        ok = false;
       }
-      note_shutdown(outcome.drain);
+      if (!ok) {
+        auth_failures_ctr_->add();
+        (void)write_line(
+            fd, "{\"ok\": false, \"error\": \"authentication required\"}");
+        return;
+      }
+      authed = true;
+      accept_to_auth_hist_->observe(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        accepted_at)
+              .count());
+      if (!write_line(fd, "{\"ok\": true, \"op\": \"auth\"}")) return;
       continue;
     }
-    if (conn == nullptr) continue;  // connection closed mid-flight
-    conn->inflight = false;
-    const int fd = conn->fd;
-    enqueue(*conn, outcome.response);
-    if (connections_.count(fd) == 0) continue;
-    pump_dispatch(*conn);
-    if (connections_.count(fd) == 0) continue;
-    if (conn->paused &&
-        conn->pending.size() < limits_.max_pipelined_requests) {
-      // Resume reading and frame whatever buffered while parked (no
-      // EPOLLIN will fire for bytes already consumed off the socket).
-      conn->paused = false;
-      update_epoll(*conn);
-      process_buffer(*conn);
-    }
-  }
-}
-
-void TransportServer::enqueue(Connection& conn,
-                              const std::string& response_line) {
-  const int fd = conn.fd;
-  conn.out += response_line;
-  conn.out += '\n';
-  // Opportunistic write: most responses go out in one send, and only a
-  // residue (partial write) arms EPOLLOUT.
-  write_ready(conn);
-  // Read-side backpressure: a peer that issues requests but never
-  // drains its socket accumulates pending responses; past the bound it
-  // is dropped (no point sending it an error it will not read).
-  if (connections_.count(fd) != 0 &&
-      conn.out.size() - conn.out_off > limits_.max_pending_out_bytes) {
-    close_connection(fd);
-  }
-}
-
-void TransportServer::write_ready(Connection& conn) {
-  const int fd = conn.fd;
-  while (conn.out_off < conn.out.size()) {
-    const ssize_t n = ::send(fd, conn.out.data() + conn.out_off,
-                             conn.out.size() - conn.out_off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      close_connection(fd);
+    requests_ctr_->add();
+    const util::WallTimer timer;
+    const RequestOutcome outcome =
+        handle_request(server_, line, [this] { return stats(); });
+    handle_hist_->observe(timer.seconds());
+    const bool sent = write_line(fd, outcome.response);
+    if (outcome.shutdown_requested) {
+      // The ack is written before the owner is signalled, so it reaches
+      // the peer before the owner tears the transport down.
+      note_shutdown(outcome.drain);
       return;
     }
-    conn.out_off += static_cast<std::size_t>(n);
+    if (!sent) return;
   }
-  if (conn.out_off >= conn.out.size()) {
-    conn.out.clear();
-    conn.out_off = 0;
-    if (conn.close_after_flush) {
-      close_connection(fd);
-      return;
-    }
-  }
-  update_epoll(conn);
-}
-
-void TransportServer::flush_blocking(Connection& conn) {
-  // Bounded: a peer that never drains its socket cannot wedge the loop
-  // for more than ~5 s, and only on the shutdown path.
-  for (int spin = 0; spin < 50 && conn.out_off < conn.out.size(); ++spin) {
-    pollfd pfd{conn.fd, POLLOUT, 0};
-    if (::poll(&pfd, 1, 100) < 0 && errno != EINTR) break;
-    const ssize_t n =
-        ::send(conn.fd, conn.out.data() + conn.out_off,
-               conn.out.size() - conn.out_off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-        continue;
-      }
-      close_connection(conn.fd);
-      return;
-    }
-    conn.out_off += static_cast<std::size_t>(n);
-  }
-  if (conn.out_off >= conn.out.size()) {
-    conn.out.clear();
-    conn.out_off = 0;
-  }
-}
-
-void TransportServer::update_epoll(Connection& conn) {
-  const bool pending_out = conn.out_off < conn.out.size();
-  const bool want_read = !conn.close_after_flush && !conn.paused;
-  const auto desired = static_cast<std::uint32_t>(
-      (want_read ? EPOLLIN : 0u) | (pending_out ? EPOLLOUT : 0u));
-  if (desired == conn.armed_events) return;
-  conn.armed_events = desired;
-  epoll_event ev{};
-  ev.events = desired;
-  ev.data.fd = conn.fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
-}
-
-void TransportServer::close_connection(int fd) {
-  const auto it = connections_.find(fd);
-  if (it == connections_.end()) return;
-  token_to_fd_.erase(it->second->token);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  connections_.erase(it);
-  open_connections_gauge_->sub();
 }
 
 void TransportServer::note_shutdown(bool drain) {
@@ -787,44 +466,14 @@ bool TransportServer::shutdown_requested() const {
 
 TransportStats TransportServer::stats() const {
   // A view over the registry-backed instruments: each field is one
-  // relaxed atomic load (no cross-field consistency is promised, same
-  // as the old mutex snapshot taken between loop iterations).
+  // relaxed atomic load (no cross-field consistency is promised).
   TransportStats s;
   s.accepted = static_cast<std::size_t>(accepted_ctr_->value());
   s.open_connections =
       static_cast<std::size_t>(open_connections_gauge_->value());
   s.requests = static_cast<std::size_t>(requests_ctr_->value());
-  s.inline_requests =
-      static_cast<std::size_t>(inline_requests_ctr_->value());
-  s.dispatched = static_cast<std::size_t>(dispatched_ctr_->value());
-  s.rejected = static_cast<std::size_t>(rejected_ctr_->value());
   s.auth_failures = static_cast<std::size_t>(auth_failures_ctr_->value());
   s.oversized_lines = static_cast<std::size_t>(oversized_ctr_->value());
-  return s;
-}
-
-DispatchStats TransportServer::dispatch_stats() const {
-  return dispatch_pool_ ? dispatch_pool_->stats() : DispatchStats{};
-}
-
-TransportSnapshot TransportServer::snapshot() const {
-  TransportSnapshot s;
-  const TransportStats t = stats();
-  s.accepted = t.accepted;
-  s.open_connections = t.open_connections;
-  s.requests = t.requests;
-  s.inline_requests = t.inline_requests;
-  s.dispatched = t.dispatched;
-  s.rejected = t.rejected;
-  s.oversized_lines = t.oversized_lines;
-  s.auth_failures = t.auth_failures;
-  if (dispatch_pool_) {
-    const DispatchStats d = dispatch_pool_->stats();
-    s.dispatch_workers = d.workers;
-    s.dispatch_queue_depth = d.queue_depth;
-    s.dispatch_peak_depth = d.peak_depth;
-    s.dispatch_completed = d.completed;
-  }
   return s;
 }
 

@@ -1,7 +1,7 @@
 // MUST NOT COMPILE under -Wthread-safety -Werror: calls a
 // PHES_EXCLUDES method while already holding the excluded mutex — the
 // self-deadlock shape the annotations exist to catch (mirrors the
-// JobQueue/DispatchPool public-API contract).  Expected diagnostic:
+// JobQueue public-API contract).  Expected diagnostic:
 // -Wthread-safety-analysis "cannot call function ... while mutex is
 // held".
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -99,6 +100,31 @@ TEST(JobOptionsCodec, CountsRejectSignsAndJunk) {
   EXPECT_THROW(
       (void)pipeline::job_option_member(pipeline::kJobOptionFlags[0], "-1"),
       std::invalid_argument);
+}
+
+TEST(JobOptionsCodec, MiBCountsThatOverflowBytesAreRejected) {
+  EXPECT_EQ(pipeline::parse_mib("0", "n"), 0u);
+  EXPECT_EQ(pipeline::parse_mib("256", "n"), std::size_t{256} << 20);
+  const std::size_t max_mib = std::numeric_limits<std::size_t>::max() >> 20;
+  EXPECT_EQ(pipeline::parse_mib(std::to_string(max_mib), "n"),
+            max_mib << 20);
+  // 2^44 and 2^44 + 1 MiB used to wrap to 0 (unbounded) and 1 MiB.
+  for (const char* bad : {"17592186044416", "17592186044417", "-1", "1x"}) {
+    EXPECT_THROW((void)pipeline::parse_mib(bad, "n"), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+}
+
+TEST(JobOptionsCodec, SecondsMustBeFiniteAndNonNegative) {
+  EXPECT_EQ(pipeline::parse_seconds("0", "t"), 0.0);
+  EXPECT_EQ(pipeline::parse_seconds("2.5", "t"), 2.5);
+  EXPECT_EQ(pipeline::parse_seconds("1e3", "t"), 1000.0);
+  for (const char* bad :
+       {"nan", "NAN", "-nan", "inf", "-inf", "1e999", "-1", "", "1s"}) {
+    EXPECT_THROW((void)pipeline::parse_seconds(bad, "t"),
+                 std::invalid_argument)
+        << "'" << bad << "'";
+  }
 }
 
 TEST(JobOptionsCodec, UnknownNamesThrowUnlessLenient) {

@@ -1,12 +1,13 @@
-// Off-loop request dispatch: the regression guard for PR 4's inline
-// handling, where a submit blocked on a full admission queue stalled
-// every connection of the server.  Determinism comes from the
-// StageGate observer (a job provably parked inside a stage keeps the
-// single worker busy) plus JobQueue's push_waits counter (a submit
-// provably blocked in admission).  With both pinned, status/ping/stats
-// round-trips on other connections MUST complete while the submit
-// stays blocked — and per-connection response ordering MUST hold for
-// requests queued behind the blocked submit on the same connection.
+// Request handling under admission backpressure: a submit blocked on a
+// full admission queue must stall only its own connection, never the
+// rest of the server (each connection has its own thread).
+// Determinism comes from the StageGate observer (a job provably parked
+// inside a stage keeps the single worker busy) plus JobQueue's
+// push_waits counter (a submit provably blocked in admission).  With
+// both pinned, status/ping/stats round-trips on other connections MUST
+// complete while the submit stays blocked — and per-connection
+// response ordering MUST hold for requests queued behind the blocked
+// submit on the same connection.
 
 #include <gtest/gtest.h>
 
@@ -100,7 +101,8 @@ TEST(ServerDispatch, StatusAndPingStayLiveWhileASubmitBlocksOnAdmission) {
 
   reach_pressure_point(jobs, gate);
 
-  // Connection 1: a submit that blocks in admission on a pool worker.
+  // Connection 1: a submit that blocks in admission on its connection
+  // thread.
   auto blocked_ack = std::async(std::launch::async, [&] {
     server::Client submitter(socket_path);
     return submitter.request(kBlockedSubmit);
@@ -108,8 +110,7 @@ TEST(ServerDispatch, StatusAndPingStayLiveWhileASubmitBlocksOnAdmission) {
   wait_for_blocked_push(jobs);
 
   // Connection 2: while the submit is provably blocked, cheap ops must
-  // round-trip.  (Under PR 4's inline handling this future never
-  // becomes ready — the loop thread itself is parked in admission.)
+  // round-trip on another connection.
   auto live_ops = std::async(std::launch::async, [&] {
     server::Client poller(socket_path);
     std::string out = poller.request("{\"op\": \"ping\"}");
@@ -124,9 +125,8 @@ TEST(ServerDispatch, StatusAndPingStayLiveWhileASubmitBlocksOnAdmission) {
   EXPECT_NE(responses.find("\"op\": \"ping\""), std::string::npos);
   // The blocked job is already visible as a queued record.
   EXPECT_NE(responses.find("\"id\": 3"), std::string::npos) << responses;
-  // The stats op reports the transport + dispatch sections.
+  // The stats op reports the transport section.
   EXPECT_NE(responses.find("\"transport\""), std::string::npos);
-  EXPECT_NE(responses.find("\"dispatch\""), std::string::npos);
   EXPECT_NE(responses.find("\"push_waits\": 1"), std::string::npos);
 
   // The submit is still blocked; nothing resolved it by accident.
@@ -139,10 +139,6 @@ TEST(ServerDispatch, StatusAndPingStayLiveWhileASubmitBlocksOnAdmission) {
   EXPECT_EQ(ack.uint_or("id", 0), 3u);
   ASSERT_TRUE(jobs.wait(3, 120.0));
   EXPECT_EQ(jobs.status(3)->state, JobState::kFailed);  // bogus path
-
-  const auto stats = transport.stats();
-  EXPECT_GT(stats.inline_requests, 0u) << "cheap ops used the fast path";
-  EXPECT_GT(stats.dispatched, 0u) << "the submit went through the pool";
 
   transport.stop();
   jobs.shutdown(true);
@@ -209,8 +205,8 @@ TEST(ServerDispatch, PerConnectionOrderHoldsBehindABlockedSubmit) {
   reach_pressure_point(jobs, gate);
 
   // Pipeline a blocking submit AND a ping on the SAME connection.  The
-  // ping is a fast-path op, but it queued behind the submit — the
-  // response order must be submit ack first, ping second.
+  // ping is cheap, but it queued behind the submit — the response order
+  // must be submit ack first, ping second.
   RawConnection raw(socket_path);
   raw.send_bytes(std::string(kBlockedSubmit) + "\n{\"op\": \"ping\"}\n");
   wait_for_blocked_push(jobs);
@@ -222,76 +218,6 @@ TEST(ServerDispatch, PerConnectionOrderHoldsBehindABlockedSubmit) {
   EXPECT_NE(second.find("\"op\": \"ping\""), std::string::npos) << second;
 
   ASSERT_TRUE(jobs.wait(3, 120.0));
-  transport.stop();
-  jobs.shutdown(true);
-}
-
-TEST(ServerDispatch, OverloadedDispatchQueueRejectsInsteadOfStalling) {
-  JobServer jobs(pressure_options());
-  StageGate gate;
-  jobs.set_stage_observer(std::ref(gate));
-  const std::string socket_path = unique_socket_path("overload");
-  server::TransportLimits limits;
-  limits.dispatch_workers = 1;
-  limits.dispatch_queue_capacity = 1;
-  TransportServer transport(
-      jobs, std::make_unique<UnixTransport>(socket_path), limits);
-  transport.start();
-
-  reach_pressure_point(jobs, gate);
-
-  // Submit A occupies the single pool worker (blocked in admission).
-  auto ack_a = std::async(std::launch::async, [&] {
-    server::Client a(socket_path);
-    return a.request(kBlockedSubmit);
-  });
-  wait_for_blocked_push(jobs);
-  // Submit B fills the one-slot task queue.
-  auto ack_b = std::async(std::launch::async, [&] {
-    server::Client b(socket_path);
-    return b.request(kBlockedSubmit);
-  });
-  while (transport.dispatch_stats().queue_depth == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Submit C finds the pool full: answered with an overload error
-  // immediately — the loop never stalls and the connection survives.
-  server::Client c(socket_path);
-  const std::string rejected = c.request(kBlockedSubmit);
-  EXPECT_NE(rejected.find("server overloaded"), std::string::npos)
-      << rejected;
-  EXPECT_NE(c.request("{\"op\": \"ping\"}").find("\"ok\": true"),
-            std::string::npos);
-  EXPECT_GE(transport.stats().rejected, 1u);
-
-  gate.release();
-  EXPECT_TRUE(JsonValue::parse(ack_a.get()).bool_or("ok", false));
-  EXPECT_TRUE(JsonValue::parse(ack_b.get()).bool_or("ok", false));
-  transport.stop();
-  jobs.shutdown(true);
-}
-
-TEST(ServerDispatch, InlineModeStillServesEverything) {
-  // dispatch_workers = 0 restores PR 4 semantics; the protocol must
-  // behave identically when nothing blocks.
-  JobServer jobs(pressure_options());
-  const std::string socket_path = unique_socket_path("inlinemode");
-  server::TransportLimits limits;
-  limits.dispatch_workers = 0;
-  TransportServer transport(
-      jobs, std::make_unique<UnixTransport>(socket_path), limits);
-  transport.start();
-
-  server::Client client(socket_path);
-  EXPECT_NE(client.request("{\"op\": \"ping\"}").find("\"ok\": true"),
-            std::string::npos);
-  const auto stats_json =
-      JsonValue::parse(client.request("{\"op\": \"stats\"}"));
-  ASSERT_TRUE(stats_json.bool_or("ok", false));
-  const JsonValue* dispatch = stats_json.find("dispatch");
-  ASSERT_NE(dispatch, nullptr);
-  EXPECT_EQ(dispatch->uint_or("workers", 99), 0u);
-
   transport.stop();
   jobs.shutdown(true);
 }

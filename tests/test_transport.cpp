@@ -1,12 +1,13 @@
 // Transport-layer integration tests: the pluggable Transport
-// abstraction (AF_UNIX + TCP with token auth) driven by the epoll
-// event loop.  The core acceptance matrix: results must be bitwise
+// abstraction (AF_UNIX + TCP with token auth) served by one thread per
+// connection.  The core acceptance matrix: results must be bitwise
 // identical across one-shot run_pipeline, UNIX submit-by-path, TCP
 // submit-by-path, and TCP submit_inline (payload in the request).
-// Also covers the auth failure paths and the protocol robustness
-// fixes: oversized NDJSON lines answered with an error (connection
-// survives), and frames split across many partial writes / epoll
-// wakeups.
+// Also covers the auth failure paths, the protocol robustness fixes
+// (oversized NDJSON lines answered with an error while the connection
+// survives; frames split across many partial writes), and the
+// connection-thread lifecycle (finished threads reaped without stop();
+// stop() never hangs on a stuck peer).
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,8 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -143,7 +146,7 @@ TEST(TransportMatrix, BitIdenticalAcrossAllFourSubmissionRoutes) {
   ASSERT_TRUE(oneshot.ok) << oneshot.error;
   ASSERT_EQ(oneshot.status(), "enforced");
 
-  // One server, both listeners, one event loop.
+  // One server, both listeners.
   JobServer jobs(deterministic_server_options());
   const std::string socket_path = unique_socket_path("matrix");
   const std::string token = "matrix-secret-token";
@@ -368,6 +371,8 @@ class RawConnection {
     if (fd_ >= 0) ::close(fd_);
   }
 
+  [[nodiscard]] int fd() const noexcept { return fd_; }
+
   void send_bytes(const std::string& bytes) {
     std::size_t off = 0;
     while (off < bytes.size()) {
@@ -407,8 +412,8 @@ TEST(TransportRobustness, FrameSplitAcrossManyWakeupsIsReassembled) {
 
   RawConnection raw(socket_path);
   // Dribble one request over many separate writes; each lands in its
-  // own epoll wakeup (the sleeps make coalescing unlikely, and the
-  // loop must be correct either way).
+  // own read (the sleeps make coalescing unlikely, and the reader must
+  // be correct either way).
   const std::string request = "{\"op\": \"ping\"}\n";
   for (const char c : request) {
     raw.send_bytes(std::string(1, c));
@@ -464,6 +469,36 @@ TEST(TransportRobustness, OversizedLineGetsErrorResponseNotDisconnect) {
   EXPECT_EQ(stats.oversized_lines, 2u);
   EXPECT_EQ(stats.open_connections, 1u) << "connection must survive";
 
+  // The bound is inclusive: a request of exactly max_line_bytes,
+  // dribbled in small chunks, is served; one byte more is refused and
+  // the connection keeps serving.
+  const auto padded_ping = [](std::size_t size) {
+    std::string line = "{\"op\": \"ping\", \"pad\": \"\"}";
+    line.insert(line.size() - 2, size - line.size(), 'p');
+    return line;
+  };
+  for (const std::size_t size : {limits.max_line_bytes,
+                                 limits.max_line_bytes + 1}) {
+    const std::string line = padded_ping(size) + "\n";
+    ASSERT_EQ(line.size(), size + 1);
+    for (std::size_t off = 0; off < line.size(); off += 7) {
+      raw.send_bytes(line.substr(off, 7));
+    }
+    const std::string response = raw.read_response_line();
+    if (size == limits.max_line_bytes) {
+      EXPECT_NE(response.find("\"op\": \"ping\""), std::string::npos)
+          << response;
+    } else {
+      EXPECT_NE(response.find("exceeds 512 bytes"), std::string::npos)
+          << response;
+    }
+  }
+  raw.send_bytes("{\"op\": \"ping\"}\n");
+  EXPECT_NE(raw.read_response_line().find("\"op\": \"ping\""),
+            std::string::npos);
+  EXPECT_EQ(transport.stats().oversized_lines, 3u);
+  EXPECT_EQ(transport.stats().open_connections, 1u);
+
   transport.stop();
   jobs.shutdown(true);
 }
@@ -486,12 +521,132 @@ TEST(TransportRobustness, ShutdownOverTcpAcksThenSignalsOwner) {
       client.request("{\"op\": \"shutdown\", \"drain\": false}");
   EXPECT_NE(ack.find("\"ok\": true"), std::string::npos);
   // The ack is flushed before the owner is signalled; block on the
-  // signal (checking the flag here would race the loop thread).
+  // signal (checking the flag here would race the connection thread).
   EXPECT_FALSE(transport.wait_shutdown());  // drain=false requested
   EXPECT_TRUE(transport.shutdown_requested());
 
   jobs.shutdown(false);
   transport.stop();
+}
+
+// ---- Connection-thread lifecycle ----------------------------------------
+
+/// The process's live thread count, from /proc/self/status.
+std::size_t thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      std::size_t n = 0;
+      status >> n;
+      return n;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+TEST(TransportLifecycle, FinishedConnectionsAreReapedWithoutStop) {
+  JobServer jobs(deterministic_server_options());
+  const std::string socket_path = unique_socket_path("reap");
+  TransportServer transport(
+      jobs, std::make_unique<UnixTransport>(socket_path));
+  transport.start();
+  const std::size_t baseline = thread_count();
+  ASSERT_GT(baseline, 0u);
+
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_NE(server::round_trip(socket_path, "{\"op\": \"ping\"}")
+                  .find("\"ok\": true"),
+              std::string::npos);
+  }
+  // Each connection thread ends when its peer hangs up and the accept
+  // thread joins it and closes its fd; nothing waits for stop().
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((transport.stats().open_connections != 0 ||
+          thread_count() != baseline) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(transport.stats().open_connections, 0u);
+  EXPECT_EQ(thread_count(), baseline);
+  EXPECT_EQ(transport.stats().accepted, 200u);
+
+  transport.stop();
+  jobs.shutdown(true);
+}
+
+TEST(TransportLifecycle, StopReturnsPromptlyWithStuckPeersConnected) {
+  JobServer jobs(deterministic_server_options());
+  const std::string socket_path = unique_socket_path("stuck");
+  std::vector<std::unique_ptr<server::Transport>> transports;
+  transports.push_back(std::make_unique<UnixTransport>(socket_path));
+  auto tcp = std::make_unique<TcpTransport>("127.0.0.1", 0, "tok");
+  TcpTransport* tcp_ptr = tcp.get();
+  transports.push_back(std::move(tcp));
+  TransportServer transport(jobs, std::move(transports));
+  transport.start();
+  const std::size_t baseline = thread_count();
+
+  // Idle: connected, never sends.
+  RawConnection idle(socket_path);
+  // Half a line: its thread waits for the terminator.
+  RawConnection half(socket_path);
+  half.send_bytes("{\"op\": \"pi");
+  // Pipelines requests and never reads: once both socket buffers fill,
+  // its thread is blocked writing a response.
+  RawConnection flood(socket_path);
+  {
+    std::string batch;
+    for (int i = 0; i < 1024; ++i) batch += "{\"op\": \"stats\"}\n";
+    std::size_t sent = 0;
+    for (;;) {
+      const ssize_t n = ::send(flood.fd(), batch.data(), batch.size(),
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n < 0) break;  // EAGAIN: the server stopped reading
+      sent += static_cast<std::size_t>(n);
+    }
+    ASSERT_GT(sent, 0u);
+  }
+  // TCP, never authenticates.
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(tcp_ptr->bound_port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  const int preauth = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(preauth, 0);
+  ASSERT_EQ(::connect(preauth, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0)
+      << std::strerror(errno);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (transport.stats().open_connections != 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(transport.stats().open_connections, 4u);
+
+  {
+    // The future's destructor joins the thread running stop().
+    auto stopped =
+        std::async(std::launch::async, [&] { transport.stop(); });
+    const bool prompt = stopped.wait_for(std::chrono::seconds(3)) ==
+                        std::future_status::ready;
+    EXPECT_TRUE(prompt) << "stop() hung on a stuck peer";
+    if (!prompt) {
+      // Hang up from the client side so the test can end and report.
+      for (const int fd : {idle.fd(), half.fd(), flood.fd(), preauth}) {
+        ::shutdown(fd, SHUT_RDWR);
+      }
+    }
+  }
+  EXPECT_EQ(transport.stats().open_connections, 0u);
+  EXPECT_EQ(thread_count(), baseline - 1) << "accept thread joined too";
+  ::close(preauth);
+  jobs.shutdown(true);
 }
 
 TEST(TransportEndpoint, ParseAcceptsUnixPathsAndTcpSpecs) {

@@ -1,6 +1,6 @@
-// Event-loop stress: many concurrent TCP clients against one
-// TransportServer — a single epoll thread multiplexing every
-// connection, with the worker pool executing jobs underneath.  This
+// Transport stress: many concurrent TCP clients against one
+// TransportServer — one connection thread each, all sharing the job
+// server, with the worker pool executing jobs underneath.  This
 // suite runs under the ThreadSanitizer CI job: keep every scenario
 // free of sleeps-as-synchronization.
 
@@ -40,7 +40,7 @@ Endpoint tcp_endpoint(const TcpTransport& tcp, std::string token) {
   return endpoint;
 }
 
-TEST(TransportStress, SixteenConcurrentTcpClientsOnOneEventLoop) {
+TEST(TransportStress, SixteenConcurrentTcpClients) {
   constexpr std::size_t kClients = 16;
   constexpr std::size_t kJobsPerClient = 2;
   constexpr std::size_t kTotal = kClients * kJobsPerClient;
@@ -59,8 +59,8 @@ TEST(TransportStress, SixteenConcurrentTcpClientsOnOneEventLoop) {
   const Endpoint endpoint = tcp_endpoint(*tcp, token);
 
   // Two distinct inline payloads, submitted as Touchstone text: the
-  // whole job cycle — auth, inline submit, status polling — runs over
-  // the single loop thread while 16 clients hammer it.
+  // whole job cycle — auth, inline submit, status polling — runs on
+  // 16 connection threads at once.
   const auto samples_a = test::non_passive_samples(7, 20);
   const auto samples_b = test::passive_samples(11, 20);
   std::string payload_a;
@@ -95,8 +95,8 @@ TEST(TransportStress, SixteenConcurrentTcpClientsOnOneEventLoop) {
             return;
           }
           ids[c * kJobsPerClient + j] = response.uint_or("id", 0);
-          // Interleave cheap ops so the loop multiplexes read+write
-          // traffic across all 16 connections, not just submits.
+          // Interleave cheap ops so all 16 connections read and write
+          // the shared server state, not just submit.
           (void)client.request("{\"op\": \"stats\"}");
           (void)client.request(
               "{\"op\": \"status\", \"id\": " +
@@ -138,7 +138,7 @@ TEST(TransportStress, SixteenConcurrentTcpClientsOnOneEventLoop) {
   const auto stats = transport.stats();
   EXPECT_EQ(stats.accepted, kClients);
   EXPECT_EQ(stats.auth_failures, 0u);
-  // Every client issued 3 ops per job on one multiplexed loop.
+  // Every client issued 3 ops per job.
   EXPECT_GE(stats.requests, kTotal * 3u);
 
   const auto server_stats = jobs.stats();
@@ -150,7 +150,7 @@ TEST(TransportStress, SixteenConcurrentTcpClientsOnOneEventLoop) {
   jobs.shutdown(true);
 }
 
-TEST(TransportStress, AuthStormDoesNotWedgeTheLoop) {
+TEST(TransportStress, AuthStormDoesNotWedgeTheServer) {
   JobServer jobs(server::ServerOptions{});
   const std::string token = "storm-token";
   auto tcp_owned = std::make_unique<TcpTransport>("127.0.0.1", 0, token);
@@ -159,7 +159,7 @@ TEST(TransportStress, AuthStormDoesNotWedgeTheLoop) {
   transport.start();
 
   // A burst of bad-token and good-token connections racing each other;
-  // the loop must refuse the former, serve the latter, and leak
+  // the server must refuse the former, serve the latter, and leak
   // nothing.
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kItersPerThread = 4;
