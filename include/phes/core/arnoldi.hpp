@@ -3,11 +3,19 @@
 //
 // Builds an orthonormal basis V_d of the Krylov subspace
 //   span{ v1, Op v1, ..., Op^{d-1} v1 }
-// by modified Gram-Schmidt with one reorthogonalization pass, while
-// keeping every basis vector orthogonal to a set of locked (previously
+// by two Gram-Schmidt passes per step (blocked classical Gram-Schmidt,
+// CGS2, on the default tuned backend; modified Gram-Schmidt with one
+// reorthogonalization pass on the reference backend), while keeping
+// every basis vector orthogonal to a set of locked (previously
 // converged) Ritz vectors — the "incremental deflation" of [9].  The
 // Galerkin projection returns the (d+1) x d Hessenberg matrix whose
 // eigenpairs approximate the operator's dominant eigenpairs.
+//
+// Ritz extraction is split so callers pay only for what they use:
+// ritz_pairs() returns each pair's value, residual bound and its
+// coordinates y in the Krylov basis; ritz_vector() forms the full-space
+// vector V_d y for the pairs that are actually needed (the single-shift
+// iteration forms one only when it locks the pair).
 
 #include <span>
 #include <vector>
@@ -38,7 +46,12 @@ struct ArnoldiResult {
 struct RitzPair {
   Complex value{};       ///< eigenvalue of the *operator* (e.g. mu)
   double residual = 0.0; ///< ||Op x - mu x|| estimate
-  ComplexVector vector;  ///< Ritz vector in the full space (unit norm)
+  /// Unit eigenvector y of H_d: the pair's coordinates in the Krylov
+  /// basis (rows of ArnoldiResult::v_rows).
+  ComplexVector coords;
+  /// Ritz vector in the full space (unit norm); empty unless
+  /// ritz_pairs() was asked for vectors.
+  ComplexVector vector;
 };
 
 /// Run `d` Arnoldi steps from start vector v0 (need not be normalized).
@@ -61,8 +74,17 @@ struct RitzPair {
 /// Ritz pairs of an Arnoldi result, sorted by descending |value|
 /// (for shift-inverted operators this is ascending distance from the
 /// shift).  Residuals use the h(d+1,d) * |last component| bound.
+/// `want_vectors` also fills each pair's `vector` with
+/// ritz_vector(ar, pair.coords); value, residual and coords do not
+/// depend on it.
 [[nodiscard]] std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar,
                                                bool want_vectors);
+
+/// Normalized full-space Ritz vector sum_k coords[k] * (basis row k),
+/// skipping zero coefficients: bit for bit the `vector` that
+/// ritz_pairs(ar, true) returns for the same coords.
+[[nodiscard]] ComplexVector ritz_vector(const ArnoldiResult& ar,
+                                        std::span<const Complex> coords);
 
 /// Random complex start vector of unit norm.
 [[nodiscard]] ComplexVector random_start_vector(std::size_t dim,

@@ -53,6 +53,9 @@ struct SingleShiftResult {
   double radius = 0.0;            ///< certified clean radius
   std::size_t restarts = 0;
   std::size_t matvecs = 0;
+  /// Ritz vectors formed and locked for deflation, over all restarts
+  /// (counts pairs whose direction was already in the locked span too).
+  std::size_t locked = 0;
   /// Shift-invert operators built locally (0 when a factory supplies
   /// them — the factory's owner counts its own builds).
   std::size_t factorizations = 0;

@@ -60,6 +60,7 @@ struct ShiftRecord {
   std::size_t eigenvalues_found = 0;
   std::size_t restarts = 0;
   std::size_t matvecs = 0;
+  std::size_t locked = 0;  ///< Ritz vectors locked (SingleShiftResult)
   double seconds = 0.0;
   std::size_t thread = 0;
 };
@@ -80,6 +81,8 @@ struct SolverResult {
   /// estimate (a warm-started re-solve skips that estimate entirely).
   std::size_t total_matvecs = 0;
   std::size_t lambda_max_matvecs = 0;  ///< band-estimate share of the total
+  /// Ritz vectors locked for deflation, summed over shift_log.
+  std::size_t locked_vectors = 0;
   std::vector<ShiftRecord> shift_log;
   std::vector<CompletedDisk> disks;   ///< for coverage verification
 

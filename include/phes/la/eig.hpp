@@ -6,6 +6,13 @@
 // matrix (d <= 60 in the paper).  Its eigenpairs (Ritz pairs) are
 // computed here with a shifted QR iteration using complex Givens
 // rotations, plus triangular back-substitution for eigenvectors.
+//
+// When eigenvectors are wanted, hessenberg_eig accumulates the Schur
+// vectors as contiguous ROWS of a work matrix (Z transposed), so every
+// rotation and the back-transform v = Z y sweep unit-stride memory.
+// The floating-point operations and their order are those of the
+// column-wise formulation, and the triangular factor never reads Z, so
+// the eigenvalues are bit-identical with or without vectors.
 
 #include <vector>
 

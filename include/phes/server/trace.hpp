@@ -32,9 +32,12 @@ class JsonValue;
 namespace phes::server {
 
 /// One executed pipeline stage.  Solver counters are attached to the
-/// stages that drive the Hamiltonian eigensolver (characterize carries
-/// the initial report's counters, verify the final report's); they are
-/// zero elsewhere.
+/// stages that drive the Hamiltonian eigensolver: characterize carries
+/// the initial report's counters, verify the final report's, and
+/// enforce the EnforcementResult totals over its re-characterization
+/// rounds (matvecs and cache hits/misses; its factorization count stays
+/// zero, since EnforcementResult keeps none).  The counters are zero on
+/// the other stages.
 struct StageSpan {
   std::string stage;
   double start_unix = 0.0;  ///< wall-clock seconds when the stage began

@@ -159,6 +159,25 @@ ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
   return res;
 }
 
+ComplexVector ritz_vector(const ArnoldiResult& ar,
+                          std::span<const Complex> coords) {
+  util::check(coords.size() <= ar.v_rows.rows(),
+              "ritz_vector: more coordinates than basis vectors");
+  const std::size_t dim = ar.v_rows.cols();
+  ComplexVector x(dim, Complex{});
+  for (std::size_t row = 0; row < coords.size(); ++row) {
+    const Complex yc = coords[row];
+    if (yc == Complex{}) continue;
+    const Complex* vr = ar.v_rows.row_ptr(row);
+    for (std::size_t i = 0; i < dim; ++i) x[i] += vr[i] * yc;
+  }
+  const double norm = la::nrm2<Complex>(x);
+  if (norm > 0.0) {
+    for (auto& xi : x) xi /= norm;
+  }
+  return x;
+}
+
 std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar, bool want_vectors) {
   const std::size_t d = ar.steps;
   std::vector<RitzPair> pairs;
@@ -173,27 +192,12 @@ std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar, bool want_vectors) {
 
   const la::ComplexEigResult eig = la::hessenberg_eig(hd, true);
   pairs.reserve(d);
-  const std::size_t dim = ar.v_rows.cols();
   for (std::size_t j = 0; j < d; ++j) {
     RitzPair p;
     p.value = eig.values[j];
-    const auto y = eig.vectors.col(j);
-    p.residual = beta * std::abs(y[d - 1]);
-    if (want_vectors) {
-      p.vector.assign(dim, Complex{});
-      for (std::size_t row = 0; row < d; ++row) {
-        const Complex yc = y[row];
-        if (yc == Complex{}) continue;
-        const Complex* vr = ar.v_rows.row_ptr(row);
-        for (std::size_t i = 0; i < dim; ++i) {
-          p.vector[i] += vr[i] * yc;
-        }
-      }
-      const double norm = la::nrm2<Complex>(p.vector);
-      if (norm > 0.0) {
-        for (auto& x : p.vector) x /= norm;
-      }
-    }
+    p.coords = eig.vectors.col(j);
+    p.residual = beta * std::abs(p.coords[d - 1]);
+    if (want_vectors) p.vector = ritz_vector(ar, p.coords);
     pairs.push_back(std::move(p));
   }
   std::sort(pairs.begin(), pairs.end(), [](const RitzPair& a,

@@ -5,6 +5,7 @@
 
 #include "phes/core/arnoldi.hpp"
 #include "phes/hamiltonian/implicit_op.hpp"
+#include "phes/la/eig.hpp"
 
 namespace phes::core {
 
@@ -21,8 +22,14 @@ LambdaMaxEstimate estimate_lambda_max_counted(
     const auto v0 = random_start_vector(dim, rng);
     const auto ar = arnoldi(op, v0, d, {}, opt.kernel);
     est.matvecs += ar.matvecs;
-    for (const auto& p : ritz_pairs(ar, false)) {
-      best = std::max(best, std::abs(p.value));
+    // Only |value| matters here, so skip the eigenvector work; the
+    // values do not depend on whether vectors are accumulated.
+    ComplexMatrix hd(ar.steps, ar.steps);
+    for (std::size_t i = 0; i < ar.steps; ++i) {
+      for (std::size_t j = 0; j < ar.steps; ++j) hd(i, j) = ar.h(i, j);
+    }
+    for (const Complex mu : la::hessenberg_eig(std::move(hd), false).values) {
+      best = std::max(best, std::abs(mu));
     }
   }
   // Safeguard floor: unit-threshold crossings can only occur where the

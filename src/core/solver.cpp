@@ -173,10 +173,12 @@ SolverResult ParallelHamiltonianEigensolver::run_scheduler(
         rec.eigenvalues_found = sres.eigenvalues.size();
         rec.restarts = sres.restarts;
         rec.matvecs = sres.matvecs;
+        rec.locked = sres.locked;
         rec.seconds = seconds;
         rec.thread = tid;
         result.shift_log.push_back(rec);
         result.total_matvecs += sres.matvecs;
+        result.locked_vectors += sres.locked;
         result.factorizations += sres.factorizations;
         sched.complete(*task, std::max(sres.radius, 2.0 * min_width),
                        std::move(sres.eigenvalues));
@@ -253,6 +255,7 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
                     outcomes[i].eigenvalues.size(),
                     outcomes[i].restarts,
                     outcomes[i].matvecs,
+                    outcomes[i].locked,
                     t.seconds(),
                     tid};
     }
@@ -272,6 +275,7 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
   for (std::size_t i = 0; i < n_shifts; ++i) {
     result.shift_log.push_back(records[i]);
     result.total_matvecs += records[i].matvecs;
+    result.locked_vectors += records[i].locked;
     result.factorizations += outcomes[i].factorizations;
     CompletedDisk disk;
     disk.center = records[i].center;
@@ -314,6 +318,7 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
     for (const auto& rec : phase2.shift_log) {
       result.shift_log.push_back(rec);
       result.total_matvecs += rec.matvecs;
+      result.locked_vectors += rec.locked;
     }
     result.factorizations += phase2.factorizations;
     for (const auto& d : phase2.disks) result.disks.push_back(d);

@@ -62,7 +62,10 @@ ComplexEigResult hessenberg_eig(ComplexMatrix t, bool want_vectors) {
     for (std::size_t j = 0; j + 1 < i; ++j) t(i, j) = Complex{};
   }
 
-  ComplexMatrix z =
+  // Schur vectors stored transposed: row k of zt is Schur vector k, so
+  // each rotation and the back-transform sweep contiguous rows.  T's
+  // updates never read zt, so the eigenvalues do not depend on it.
+  ComplexMatrix zt =
       want_vectors ? ComplexMatrix::identity(n) : ComplexMatrix();
   const double norm_scale = std::max(frobenius_norm(t), 1e-300);
 
@@ -123,10 +126,13 @@ ComplexEigResult hessenberg_eig(ComplexMatrix t, bool want_vectors) {
           t(i, k + 1) = -g.s * t1 + g.c * t2;
         }
         if (want_vectors) {
+          // Z <- Z G on Schur vectors k, k+1: two contiguous rows of zt.
+          Complex* zk = zt.row_ptr(k);
+          Complex* zk1 = zt.row_ptr(k + 1);
           for (std::size_t i = 0; i < n; ++i) {
-            const Complex t1 = z(i, k), t2 = z(i, k + 1);
-            z(i, k) = g.c * t1 + std::conj(g.s) * t2;
-            z(i, k + 1) = -g.s * t1 + g.c * t2;
+            const Complex t1 = zk[i], t2 = zk1[i];
+            zk[i] = g.c * t1 + std::conj(g.s) * t2;
+            zk1[i] = -g.s * t1 + g.c * t2;
           }
         }
         if (k > l) t(k + 1, k - 1) = Complex{};  // clear chased bulge residue
@@ -159,12 +165,13 @@ ComplexEigResult hessenberg_eig(ComplexMatrix t, bool want_vectors) {
         }
         y_vec[ii] = -acc / denom;
       }
-      // v = Z y, normalized.
+      // v = Z y, normalized.  Each v[i] sums its terms in k = 0..j
+      // order starting from zero, as a per-element dot product would.
       ComplexVector v(n, Complex{});
-      for (std::size_t i = 0; i < n; ++i) {
-        Complex acc{};
-        for (std::size_t k = 0; k <= j; ++k) acc += z(i, k) * y_vec[k];
-        v[i] = acc;
+      for (std::size_t k = 0; k <= j; ++k) {
+        const Complex yk = y_vec[k];
+        const Complex* zk = zt.row_ptr(k);
+        for (std::size_t i = 0; i < n; ++i) v[i] += zk[i] * yk;
       }
       const double nv = nrm2<Complex>(v);
       if (nv > 0.0) {

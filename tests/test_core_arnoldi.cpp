@@ -135,6 +135,43 @@ TEST(Arnoldi, DeflationFindsSecondEigenvalue) {
               0.0, 1e-8);
 }
 
+TEST(Arnoldi, LazyRitzVectorsMatchEagerOnesBitForBit) {
+  // A deflated run (non-empty locked set) on a non-normal operator,
+  // under both kernel backends: ritz_vector(ar, coords) must reproduce
+  // the eager ritz_pairs(ar, true) vectors exactly, and values,
+  // residuals and coordinates must not depend on want_vectors.
+  for (const auto backend :
+       {la::KernelBackend::kTuned, la::KernelBackend::kReference}) {
+    util::Rng rng(5);
+    const DenseOp op(test::random_complex_matrix(80, 80, rng));
+    const auto first =
+        arnoldi(op, core::random_start_vector(80, rng), 30, {}, backend);
+    const auto first_pairs = ritz_pairs(first, true);
+    ASSERT_GE(first_pairs.size(), 2u);
+    const std::vector<ComplexVector> locked{first_pairs[0].vector,
+                                            first_pairs[1].vector};
+    const auto ar =
+        arnoldi(op, core::random_start_vector(80, rng), 30, locked, backend);
+    const auto lazy = ritz_pairs(ar, false);
+    const auto eager = ritz_pairs(ar, true);
+    ASSERT_EQ(lazy.size(), eager.size());
+    for (std::size_t j = 0; j < eager.size(); ++j) {
+      EXPECT_TRUE(lazy[j].vector.empty());
+      EXPECT_EQ(lazy[j].value, eager[j].value) << j;
+      EXPECT_EQ(lazy[j].residual, eager[j].residual) << j;
+      ASSERT_EQ(lazy[j].coords.size(), ar.steps);
+      for (std::size_t k = 0; k < ar.steps; ++k) {
+        EXPECT_EQ(lazy[j].coords[k], eager[j].coords[k]) << j << "," << k;
+      }
+      const ComplexVector x = core::ritz_vector(ar, lazy[j].coords);
+      ASSERT_EQ(x.size(), eager[j].vector.size());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        ASSERT_EQ(x[i], eager[j].vector[i]) << j << "," << i;
+      }
+    }
+  }
+}
+
 TEST(Arnoldi, StartVectorInLockedSubspaceThrows) {
   ComplexVector diag{Complex(1, 0), Complex(2, 0), Complex(3, 0)};
   const DenseOp op(diagonal_matrix(diag));

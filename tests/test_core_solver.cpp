@@ -152,6 +152,29 @@ TEST(Solver, SerialRunsAreDeterministic) {
   EXPECT_EQ(r1.shifts_processed, r2.shifts_processed);
 }
 
+TEST(Solver, LockedVectorCountsAddUp) {
+  // Every reported eigenvalue was locked at its shift, so each shift
+  // locks at least as many Ritz vectors as it reports eigenvalues, and
+  // the solve total is the sum over the shift log (both schedulers).
+  const Fixture fx = make_fixture(1.06, 906);
+  ParallelHamiltonianEigensolver solver(fx.simo);
+  for (const auto mode : {SchedulingMode::kDynamic,
+                          SchedulingMode::kStaticGrid}) {
+    SolverOptions opt;
+    opt.threads = 2;
+    opt.scheduling = mode;
+    const auto res = solver.solve(opt);
+    ASSERT_FALSE(res.shift_log.empty());
+    std::size_t sum = 0;
+    for (const auto& rec : res.shift_log) {
+      EXPECT_GE(rec.locked, rec.eigenvalues_found) << rec.center;
+      sum += rec.locked;
+    }
+    EXPECT_EQ(sum, res.locked_vectors);
+    EXPECT_GE(res.locked_vectors, res.eigenvalues.size());
+  }
+}
+
 TEST(Solver, ThreadCountsAgreeWithEachOther) {
   const Fixture fx = make_fixture(1.08, 905, 48, 4);
   ParallelHamiltonianEigensolver solver(fx.simo);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "phes/la/blas.hpp"
 #include "phes/la/eig.hpp"
@@ -177,6 +178,26 @@ TEST_P(ComplexEigProperty, HessenbergEigMatchesDense) {
   const auto ev1 = la::hessenberg_eig(h, false).values;
   const auto ev2 = la::complex_eigenvalues(h);
   EXPECT_LT(test::spectrum_distance(ev1, ev2), 1e-7);
+}
+
+TEST(HessenbergEig, ValuesDoNotDependOnVectorAccumulation) {
+  // The values-only path (used by the lambda_max estimate) must return
+  // the very bits the eigenvector path returns.
+  util::Rng rng(400);
+  for (const std::size_t d : {30u, 60u, 90u}) {
+    ComplexMatrix h = test::random_complex_matrix(d, d, rng);
+    for (std::size_t i = 0; i < d; ++i) {
+      for (std::size_t j = 0; j + 1 < i; ++j) h(i, j) = Complex{};
+    }
+    const auto values_only = la::hessenberg_eig(h, false).values;
+    const auto with_vectors = la::hessenberg_eig(h, true).values;
+    ASSERT_EQ(values_only.size(), d);
+    ASSERT_EQ(with_vectors.size(), d);
+    EXPECT_EQ(std::memcmp(values_only.data(), with_vectors.data(),
+                          d * sizeof(Complex)),
+              0)
+        << "d = " << d;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, ComplexEigProperty,
