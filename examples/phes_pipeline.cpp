@@ -13,10 +13,10 @@
 //       into <dir> so `batch` has something to chew on.
 //   phes_pipeline serve <socket> [flags]
 //       Long-lived job server: bounded queue with backpressure,
-//       persistent workers, cross-job session pool keyed by model hash,
-//       result store.  Listens on the AF_UNIX socket, plus a TCP
-//       endpoint with `--tcp HOST:PORT --auth-token-file FILE` (remote
-//       clients authenticate with the shared token).  Each connection
+//       persistent workers (one solver session per job), result store.
+//       Listens on the AF_UNIX socket, plus a TCP endpoint with
+//       `--tcp HOST:PORT --auth-token-file FILE` (remote clients
+//       authenticate with the shared token).  Each connection
 //       is served by its own thread, so status polls stay live while
 //       another connection's submit blocks on backpressure.  With
 //       `--data-dir DIR`, finished results spill to disk and are served
@@ -62,12 +62,9 @@
 //   --summary-csv <path>  write the one-row-per-job CSV summary
 //   --no-warm-start      disable session warm starts (cold re-solves)
 //   --verbose            per-stage timing breakdown per job
-// serve/batch flags (the batch runner shares sessions the same way):
+// serve flags:
 //   --queue <n>          queue capacity / backpressure bound (default 64)
-//   --no-share-sessions  one private session per job (no cross-job pool)
-//   --pool-sessions <n>  idle sessions kept per the pool (default 16)
-//   --pool-mb <n>        idle session memory budget in MiB (default 256)
-//   --tcp <host:port>    additional TCP listener (serve only)
+//   --tcp <host:port>    additional TCP listener
 //   --auth-token-file <f> shared token for the TCP auth handshake
 //   --data-dir <dir>     durable result storage + crash recovery
 //   --retain-records <n> in-memory finished-record cap (default 4096)
@@ -126,9 +123,6 @@ struct CliOptions {
   bool verbose = false;
   // serve-only
   std::size_t queue_capacity = 64;
-  bool share_sessions = true;
-  std::size_t pool_sessions = 16;
-  std::size_t pool_bytes = std::size_t{256} << 20;  ///< --pool-mb
   std::string tcp_endpoint;      ///< "HOST:PORT"; empty => no TCP listener
   std::string auth_token_file;   ///< shared token for the TCP handshake
   std::string data_dir;          ///< empty => in-memory result store
@@ -184,11 +178,8 @@ int usage() {
                "       --kernel tuned|reference\n"
                "       --summary-json PATH --summary-csv PATH\n"
                "       --no-warm-start --verbose\n"
-               "serve/batch: --queue N --no-share-sessions "
-               "--pool-sessions N\n"
-               "       --pool-mb N --tcp HOST:PORT --auth-token-file "
-               "FILE\n"
-               "serve: --data-dir DIR --retain-records N --retain-mb N\n"
+               "serve: --queue N --tcp HOST:PORT --auth-token-file FILE\n"
+               "       --data-dir DIR --retain-records N --retain-mb N\n"
                "       --retain-ttl SECONDS\n"
                "       --trace-file PATH --slow-job-ms N\n"
                "client: --timeout SECONDS --poll-ms N (wait), "
@@ -262,12 +253,6 @@ CliOptions parse_flags(int argc, char** argv, int first) {
       cli.verbose = true;
     } else if (flag == "--queue") {
       cli.queue_capacity = parse_count(value(), "--queue");
-    } else if (flag == "--no-share-sessions") {
-      cli.share_sessions = false;
-    } else if (flag == "--pool-sessions") {
-      cli.pool_sessions = parse_count(value(), "--pool-sessions");
-    } else if (flag == "--pool-mb") {
-      cli.pool_bytes = pipeline::parse_mib(value(), "--pool-mb");
     } else if (flag == "--tcp") {
       cli.tcp_endpoint = value();
     } else if (flag == "--auth-token-file") {
@@ -359,33 +344,16 @@ int run_batch(std::vector<pipeline::PipelineJob> jobs,
               const CliOptions& cli) {
   for (auto& job : jobs) job.options = cli.job;
 
-  pipeline::BatchOptions batch = cli.batch;
-  // --no-warm-start jobs bypass the pool (a pooled session could hand
-  // them another job's hot cache), so report the batch as unpooled
-  // rather than printing an all-zero pool footer.
-  batch.share_sessions =
-      cli.share_sessions && cli.job.session.warm_start;
-  batch.pool.max_idle_sessions = cli.pool_sessions;
-  batch.pool.memory_budget_bytes = cli.pool_bytes;
-  // Pooled sessions are configured at pool level: session flags must
-  // reach them through the pool's session options.
-  batch.pool.session = cli.job.session;
-
-  const pipeline::BatchRunner runner(batch);
+  const pipeline::BatchRunner runner(cli.batch);
   const auto plan = runner.plan_for(jobs.size());
-  std::printf("running %zu job(s): %zu concurrent x %zu solver thread(s), "
-              "sessions %s\n",
-              jobs.size(), plan.job_workers, plan.solver_threads,
-              batch.share_sessions ? "pooled" : "private");
+  std::printf("running %zu job(s): %zu concurrent x %zu solver thread(s)\n",
+              jobs.size(), plan.job_workers, plan.solver_threads);
 
-  const auto outcome = runner.run_all(std::move(jobs));
-  const auto& results = outcome.results;
+  const auto results = runner.run(std::move(jobs));
   for (const auto& r : results) print_job_detail(r, cli.verbose);
 
   std::printf("\n");
-  pipeline::summary_table(results,
-                          batch.share_sessions ? &outcome.pool : nullptr)
-      .print(std::cout);
+  pipeline::summary_table(results).print(std::cout);
   if (!cli.summary_json.empty()) {
     pipeline::write_summary_json_file(results, cli.summary_json);
     std::printf("wrote JSON summary to %s\n", cli.summary_json.c_str());
@@ -446,12 +414,6 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
   options.queue_capacity = cli.queue_capacity;
   options.workers = cli.batch.job_workers;
   options.solver_threads = cli.batch.solver_threads;
-  options.share_sessions = cli.share_sessions;
-  options.pool.max_idle_sessions = cli.pool_sessions;
-  options.pool.memory_budget_bytes = cli.pool_bytes;
-  // Pooled sessions are configured at pool level: --no-warm-start etc.
-  // must reach them through the pool's session options.
-  options.pool.session = cli.job.session;
   options.job_defaults = cli.job;
   options.max_finished_records = cli.retain_records;
   options.data_dir = cli.data_dir;
@@ -500,9 +462,9 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
     endpoints += t->endpoint();
   }
   std::printf("phes_pipeline serving on %s (%zu worker(s) x %zu solver "
-              "thread(s), queue %zu, sessions %s)\n",
+              "thread(s), queue %zu)\n",
               endpoints.c_str(), stats.workers, stats.solver_threads,
-              cli.queue_capacity, cli.share_sessions ? "pooled" : "private");
+              cli.queue_capacity);
   std::fflush(stdout);
 
   // Block until a client sends the shutdown op, or a signal arrives
@@ -520,11 +482,8 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
   transport.stop();
 
   const auto final_stats = server.stats();
-  std::printf("served %zu job(s); queue peak %zu; session pool: %zu "
-              "checkout(s), %zu reuse(s), %zu restore(s)\n",
-              final_stats.submitted, final_stats.queue.peak_size,
-              final_stats.pool.checkouts, final_stats.pool.pool_hits,
-              final_stats.pool.restores);
+  std::printf("served %zu job(s); queue peak %zu\n", final_stats.submitted,
+              final_stats.queue.peak_size);
   return 0;
 }
 

@@ -14,12 +14,20 @@
 //  - same revision (verify after enforce, confirmation re-solves): the
 //    startup shifts are the previous certified disk centers, every
 //    factorization comes back as a cache hit, and the |lambda|max band
-//    estimate is skipped;
+//    estimate is skipped.  The recorded solve counts as the
+//    confirmation restart of each replayed disk (min_restarts drops to
+//    1 for the seeded intervals only; fresh mop-up intervals keep the
+//    full restart insurance), roughly halving the cost of empty disks
+//    on the verify path;
 //  - after update_residues (next enforcement round): factorizations are
 //    invalidated (the operator reads C at apply time) but the
 //    warm-start seeds survive — the startup shifts are the previous
 //    crossing frequencies, exactly where the perturbed eigenvalues
 //    still cluster, and the band edge is reused.
+//
+// Either way the seed shifts' factorizations are built up front with
+// the solve's thread budget, so seeded startup intervals begin with
+// cache hits.
 //
 // One session per job; solve() itself is not thread-safe (run solves
 // sequentially on a session), but the solver's worker threads share the
@@ -63,18 +71,8 @@ struct SessionStats {
 };
 
 struct SessionOptions {
-  std::size_t cache_capacity = 64;
   /// Seed re-solves from the previous outcome (band + shifts).
   bool warm_start = true;
-  /// Pre-build the seed shifts' factorizations before the scheduler
-  /// runs, so seeded startup intervals begin with cache hits.
-  bool prefetch_seeds = true;
-  /// A re-solve of an UNCHANGED revision counts the recorded solve as
-  /// the confirmation restart for each replayed disk: min_restarts
-  /// drops to 1 for the seeded intervals only (fresh mop-up intervals
-  /// keep the full restart insurance), roughly halving the cost of
-  /// empty disks on the verify path.
-  bool confirmation_resolve = true;
 };
 
 class SolverSession {
@@ -107,12 +105,7 @@ class SolverSession {
 
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
   [[nodiscard]] SessionStats stats() const;
-  /// Approximate resident memory: the realization's matrices plus the
-  /// cached factorizations (each a 2p x 2p complex LU).  Used by
-  /// SessionPool's eviction budget; not an allocator-exact figure.
-  [[nodiscard]] std::size_t approx_memory_bytes() const;
   [[nodiscard]] const WarmStart& warm_start() const noexcept { return warm_; }
-  void clear_warm_start() { warm_ = WarmStart{}; }
 
  private:
   macromodel::SimoRealization realization_;

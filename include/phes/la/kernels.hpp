@@ -12,8 +12,11 @@
 //               multiple accumulators, and precomputed reciprocal
 //               tables.  Same math, different floating-point summation
 //               order, so results may differ from reference at
-//               rounding level (but are deterministic for a fixed
-//               backend: bit-identical across runs and thread counts).
+//               rounding level.  For a fixed backend, a serial solve
+//               (threads = 1) is bit-identical from run to run;
+//               multi-threaded solves agree on the crossings only to
+//               rounding (the dynamic scheduler's shift plan follows
+//               completion order).
 //
 // The kernels here are deliberately free-standing (raw pointers +
 // strides) so the operators can point them at matrix rows, locked

@@ -31,11 +31,6 @@ struct EnforcementOptions {
   /// Enforced ceiling is 1 - margin; a small buffer keeps the next
   /// characterization from finding grazing crossings again.
   double margin = 2e-3;
-  /// Extra constraint samples per violation band (besides the peak).
-  /// The peak alone usually suffices (the min-norm step flattens the
-  /// whole hump); interior samples help on very wide bands but make the
-  /// dual system ill-conditioned, so they are off by default.
-  std::size_t extra_samples_per_band = 0;
   /// Tikhonov ridge on the dual Gram system (conditioning guard).
   double ridge = 1e-10;
   core::SolverOptions solver{};

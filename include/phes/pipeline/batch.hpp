@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "phes/engine/session_pool.hpp"
 #include "phes/pipeline/job.hpp"
 #include "phes/util/table.hpp"
 
@@ -37,21 +36,6 @@ struct BatchOptions {
   /// Explicit overrides; 0 => derive from the plan.
   std::size_t job_workers = 0;
   std::size_t solver_threads = 0;
-  /// Share solver sessions across the batch's jobs through an
-  /// engine::SessionPool keyed by model content hash, so directory
-  /// batches with duplicate models get the job server's cross-job
-  /// factorization-cache hits.  The pool resets warm-start records on
-  /// return, keeping pooled results bit-identical to private-session
-  /// runs; jobs whose own options disable warm starts bypass the pool.
-  bool share_sessions = true;
-  engine::SessionPoolOptions pool{};
-};
-
-/// A batch's results plus the shared session pool's counters (all
-/// zeros when session sharing was off).
-struct BatchOutcome {
-  std::vector<PipelineResult> results;
-  engine::SessionPoolStats pool;
 };
 
 class BatchRunner {
@@ -65,9 +49,6 @@ class BatchRunner {
   [[nodiscard]] std::vector<PipelineResult> run(
       std::vector<PipelineJob> jobs) const;
 
-  /// run() plus the session-pool statistics of the batch.
-  [[nodiscard]] BatchOutcome run_all(std::vector<PipelineJob> jobs) const;
-
   /// The split run() will use for `job_count` jobs.
   [[nodiscard]] ParallelismPlan plan_for(std::size_t job_count) const;
 
@@ -76,12 +57,10 @@ class BatchRunner {
 };
 
 /// Aggregate per-job results into a summary table (name, status, ports,
-/// order, bands before/after, fit error, timings).  With `pool`, a
-/// footer row surfaces the batch's session-pool reuse (checkouts,
-/// pool hits, aggregated cache hits/misses).
+/// order, bands before/after, fit error, session cache hits/misses,
+/// timings).
 [[nodiscard]] util::Table summary_table(
-    const std::vector<PipelineResult>& results,
-    const engine::SessionPoolStats* pool = nullptr);
+    const std::vector<PipelineResult>& results);
 
 /// Count of jobs that ran to their stop point without a stage failure.
 [[nodiscard]] std::size_t count_succeeded(

@@ -26,10 +26,6 @@
 #include "phes/passivity/enforcement.hpp"
 #include "phes/vf/vector_fitting.hpp"
 
-namespace phes::engine {
-class SessionPool;
-}  // namespace phes::engine
-
 namespace phes::util {
 class JsonValue;
 }  // namespace phes::util
@@ -212,13 +208,13 @@ struct PipelineResult {
   /// model as passive.
   bool certified_passive = false;
 
-  /// Solver-session reuse statistics for this job.  When the job ran on
-  /// a pooled session (PipelineContext::session_pool) these are deltas
-  /// over the job's lifetime, so cross-job cache hits are visible per
-  /// job; otherwise they are the whole (per-job) session's counters.
+  /// Counters of the job's own solver session (factorization cache,
+  /// warm starts) across characterize -> enforce -> verify.
   engine::SessionStats session;
-  /// The realize stage was served by an already-pooled session for the
-  /// same model hash (cross-job sharing happened).
+  /// Always false: every job runs on its own session.  Kept because
+  /// stored job records carry it as "reused" (records written when
+  /// sessions were shared across jobs may hold true), and the record
+  /// reader must re-serialize them byte for byte.
   bool session_reused = false;
 
   /// Compact status: "passive" | "enforced" | "not-passive" |
@@ -267,13 +263,6 @@ struct PipelineResult {
 /// stage machine.  Default-constructed, run_pipeline behaves exactly as
 /// the hook-free overload.
 struct PipelineContext {
-  /// Cross-job session pool: the realize stage checks the fitted model
-  /// out of this pool instead of building a private session (the
-  /// pool's SessionOptions apply, not JobOptions::session).  The lease
-  /// is returned when the job finishes.  Exception: a job whose own
-  /// session options disable warm starts runs on a private cold
-  /// session — it must not inherit another job's hot cache.
-  engine::SessionPool* session_pool = nullptr;
   /// Cooperative cancellation, polled at every stage boundary; a set
   /// flag stops the job before its next stage (result.cancelled).
   const std::atomic<bool>* cancel = nullptr;
@@ -287,8 +276,8 @@ struct PipelineContext {
 /// allocation failure and similar catastrophes propagate.)
 [[nodiscard]] PipelineResult run_pipeline(const PipelineJob& job);
 
-/// Hooked variant: same stage machine with a session pool, cooperative
-/// cancellation, and a stage observer (see PipelineContext).
+/// Hooked variant: same stage machine with cooperative cancellation and
+/// a stage observer (see PipelineContext).
 [[nodiscard]] PipelineResult run_pipeline(const PipelineJob& job,
                                           const PipelineContext& context);
 

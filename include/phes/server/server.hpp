@@ -4,9 +4,8 @@
 //
 // A bounded JobQueue (admission + backpressure) feeds a persistent
 // util::ThreadPool of workers; each worker runs jobs through
-// pipeline::run_pipeline with a PipelineContext that wires in
-//  - the cross-job engine::SessionPool (jobs over the same model hash
-//    share a SolverSession and its shift-factorization cache),
+// pipeline::run_pipeline (each job on its own SolverSession) with a
+// PipelineContext that wires in
 //  - a per-job cancellation flag (polled at stage boundaries), and
 //  - a stage observer feeding the ResultStore's progress field.
 // Finished results land in the ResultStore keyed by job id, retrievable
@@ -26,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "phes/engine/session_pool.hpp"
 #include "phes/pipeline/batch.hpp"
 #include "phes/pipeline/job.hpp"
 #include "phes/server/campaign.hpp"
@@ -47,9 +45,6 @@ struct ServerOptions {
   std::size_t workers = 0;
   /// Solver threads handed to every job; 0 => from the same plan.
   std::size_t solver_threads = 0;
-  /// Pool sessions across jobs by model content hash.
-  bool share_sessions = true;
-  engine::SessionPoolOptions pool{};
   /// Finished-record retention cap of the in-memory result store
   /// (ignored when data_dir selects the disk backend).
   std::size_t max_finished_records = 4096;
@@ -88,7 +83,6 @@ struct ServerStats {
   std::size_t workers = 0;
   std::size_t solver_threads = 0;
   JobQueue::Stats queue;
-  engine::SessionPoolStats pool;
   /// Result-storage backend counters (retention, recovery).
   StorageStats storage;
   /// Counts by JobState, indexed by static_cast<size_t>(state).
@@ -203,7 +197,6 @@ class JobServer {
 
   JobQueue queue_;
   ResultStore store_;
-  engine::SessionPool session_pool_;
   /// Declared after store_: start() reads stored records, and the
   /// runner resolves its phes_campaign_* instruments from registry_.
   CampaignRunner campaigns_;

@@ -14,8 +14,7 @@ namespace phes::engine {
 SolverSession::SolverSession(macromodel::SimoRealization realization,
                              SessionOptions options)
     : realization_(std::move(realization)),
-      options_(options),
-      cache_(options.cache_capacity) {}
+      options_(options) {}
 
 SolverSession::SolverSession(const macromodel::PoleResidueModel& model,
                              SessionOptions options)
@@ -60,7 +59,7 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
   core::WarmStartSeeds seeds;
   const bool warm = options_.warm_start && warm_.valid;
   if (warm) {
-    if (warm_.revision == revision_ && options_.confirmation_resolve) {
+    if (warm_.revision == revision_) {
       // Unchanged model: disks replayed with their certified radius
       // (rho0 > 0) already carry the explicit-restart insurance.
       ctx.confirm_seeded = true;
@@ -101,7 +100,7 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
 
     const double band_hi =
         opt.omega_max > opt.omega_min ? opt.omega_max : seeds.band_hint;
-    if (options_.prefetch_seeds && band_hi > opt.omega_min) {
+    if (band_hi > opt.omega_min) {
       // Pre-build the factorizations the scheduler will ask for first.
       // planned_seeds is the solver's own filter, so the prefetched
       // cache keys match the scheduler's requests bitwise.
@@ -176,23 +175,6 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
   }
 
   return result;
-}
-
-std::size_t SolverSession::approx_memory_bytes() const {
-  const std::size_t n = realization_.order();
-  const std::size_t p = realization_.ports();
-  // Realization: C (p x n), D (p x p), pole blocks.
-  std::size_t bytes = (p * n + p * p) * sizeof(double) +
-                      realization_.blocks().size() * sizeof(macromodel::SimoBlock);
-  // Each cached operator holds the LU of the 2p x 2p SMW kernel (plus
-  // pivots, ignored here).
-  const std::size_t per_op = 4 * p * p * sizeof(la::Complex);
-  bytes += cache_.stats().entries * per_op;
-  // Warm-start record vectors.
-  bytes += (warm_.crossings.size() + warm_.shift_centers.size() +
-            warm_.shift_radii.size()) *
-           sizeof(double);
-  return bytes;
 }
 
 SessionStats SolverSession::stats() const {

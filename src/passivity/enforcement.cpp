@@ -100,19 +100,12 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
       break;
     }
 
-    // Collect constraints: the peak of each band plus a few interior
-    // samples (wide bands need more than one touch point).
+    // Collect constraints at the peak of each band (the min-norm step
+    // flattens the whole hump).
     std::vector<Constraint> constraints;
     for (const auto& band : report.bands) {
       add_constraints_at(realization, band.omega_peak, ceiling,
                          &constraints);
-      for (std::size_t s = 0; s < opt.extra_samples_per_band; ++s) {
-        const double t = (static_cast<double>(s) + 1.0) /
-                         (static_cast<double>(opt.extra_samples_per_band) +
-                          1.0);
-        const double w = band.omega_lo + t * (band.omega_hi - band.omega_lo);
-        add_constraints_at(realization, w, ceiling, &constraints);
-      }
     }
     if (constraints.empty()) {
       // Crossings exist but every sampled sigma is already below the
@@ -122,9 +115,10 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
       break;
     }
 
-    // Near-parallel constraints (adjacent samples of one narrow band)
-    // make the dual Gram system numerically singular and the dual
-    // variables explode.  Deduplicate by Gram-Schmidt on vec(G):
+    // Near-parallel constraints (the peaks of adjacent narrow bands,
+    // or several violating singular values at one peak) make the dual
+    // Gram system numerically singular and the dual variables explode.
+    // Deduplicate by Gram-Schmidt on vec(G):
     // constraints whose gradient is nearly in the span of the kept ones
     // are dropped.
     std::vector<Constraint> kept;

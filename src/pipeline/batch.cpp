@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <memory>
 #include <thread>
 #include <utility>
 
@@ -43,37 +42,19 @@ ParallelismPlan BatchRunner::plan_for(std::size_t job_count) const {
 
 std::vector<PipelineResult> BatchRunner::run(
     std::vector<PipelineJob> jobs) const {
-  return run_all(std::move(jobs)).results;
-}
-
-BatchOutcome BatchRunner::run_all(std::vector<PipelineJob> jobs) const {
-  BatchOutcome outcome;
-  outcome.results.resize(jobs.size());
-  if (jobs.empty()) return outcome;
-  auto& results = outcome.results;
+  std::vector<PipelineResult> results(jobs.size());
+  if (jobs.empty()) return results;
 
   const ParallelismPlan plan = plan_for(jobs.size());
   for (auto& job : jobs) {
     job.options.solver.threads = plan.solver_threads;
   }
 
-  // Shared across the batch's jobs: duplicate models check the previous
-  // job's session (and its hot factorization cache) back out instead of
-  // rebuilding.  Concurrent duplicates still get distinct sessions —
-  // checkout is exclusive — so reuse shows up when duplicates
-  // serialize, exactly like the job server.
-  std::unique_ptr<engine::SessionPool> sessions;
-  if (options_.share_sessions) {
-    sessions = std::make_unique<engine::SessionPool>(options_.pool);
-  }
-  PipelineContext context;
-  context.session_pool = sessions.get();
-
   util::ThreadPool pool(plan.job_workers);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    pool.submit([&jobs, &results, &context, i] {
+    pool.submit([&jobs, &results, i] {
       try {
-        results[i] = run_pipeline(jobs[i], context);
+        results[i] = run_pipeline(jobs[i]);
       } catch (const std::exception& e) {
         // run_pipeline captures stage errors itself; this is the last
         // line of defence (allocation failure and the like).
@@ -85,12 +66,10 @@ BatchOutcome BatchRunner::run_all(std::vector<PipelineJob> jobs) const {
     });
   }
   pool.wait_idle();
-  if (sessions != nullptr) outcome.pool = sessions->stats();
-  return outcome;
+  return results;
 }
 
-util::Table summary_table(const std::vector<PipelineResult>& results,
-                          const engine::SessionPoolStats* pool) {
+util::Table summary_table(const std::vector<PipelineResult>& results) {
   util::Table table({"job", "status", "ports", "order", "fit rms",
                      "bands", "after", "cache", "time [s]"});
   for (const auto& r : results) {
@@ -119,30 +98,6 @@ util::Table summary_table(const std::vector<PipelineResult>& results,
                             std::to_string(cache.misses)
                       : "-",
         util::format_double(r.total_seconds),
-    });
-  }
-  if (pool != nullptr) {
-    // Batch-level reuse at a glance: how many realize stages were
-    // served by an already-pooled session, and the cache totals.
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    double seconds = 0.0;
-    for (const auto& r : results) {
-      hits += r.session.cache.hits;
-      misses += r.session.cache.misses;
-      seconds += r.total_seconds;
-    }
-    table.add_row({
-        "(session pool)",
-        std::to_string(pool->pool_hits) + "/" +
-            std::to_string(pool->checkouts) + " reused",
-        "-",
-        "-",
-        "-",
-        "-",
-        "-",
-        std::to_string(hits) + "/" + std::to_string(misses),
-        util::format_double(seconds),
     });
   }
   return table;

@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "phes/engine/session_pool.hpp"
 #include "phes/io/touchstone.hpp"
 #include "phes/la/kernels.hpp"
 #include "phes/macromodel/samples_io.hpp"
@@ -262,24 +261,6 @@ PipelineResult run_pipeline(const PipelineJob& job) {
   return run_pipeline(job, PipelineContext{});
 }
 
-namespace {
-
-/// Per-job view of a (possibly shared, cumulative) session's counters.
-engine::SessionStats stats_since(const engine::SessionStats& now,
-                                 const engine::SessionStats& base) {
-  engine::SessionStats d = now;
-  d.cache.hits -= base.cache.hits;
-  d.cache.misses -= base.cache.misses;
-  d.cache.evictions -= base.cache.evictions;
-  // `entries` and `revision` are gauges: keep the current values.
-  d.solves -= base.solves;
-  d.warm_solves -= base.warm_solves;
-  d.factorizations -= base.factorizations;
-  return d;
-}
-
-}  // namespace
-
 PipelineResult run_pipeline(const PipelineJob& job,
                             const PipelineContext& context) {
   PipelineResult result;
@@ -291,12 +272,8 @@ PipelineResult run_pipeline(const PipelineJob& job,
   vf::VectorFittingResult fit;
   // The solver session owns the realization and lives across the
   // characterize -> enforce -> verify stages, so factorizations and
-  // warm-start seeds carry over; obtained in kRealize — either a
-  // private session, or a lease from the cross-job pool.
-  std::unique_ptr<engine::SolverSession> owned_session;
-  engine::SessionLease lease;
-  engine::SolverSession* session = nullptr;
-  engine::SessionStats session_base;  ///< pooled counters at checkout
+  // warm-start seeds carry over; built in kRealize.
+  std::unique_ptr<engine::SolverSession> session;
 
   // Runs `body` as `stage`, recording its wall time; returns false when
   // the job was cancelled, the stage threw (the pipeline stops), or the
@@ -349,12 +326,9 @@ PipelineResult run_pipeline(const PipelineJob& job,
   }
 
   // Stage bodies return early via run_stage; capture whatever session
-  // statistics exist so partial runs still report their reuse.  Pooled
-  // sessions carry counters from previous jobs, so report the delta.
+  // statistics exist so partial runs still report their reuse.
   const auto stamp_session_stats = [&] {
-    if (session != nullptr) {
-      result.session = stats_since(session->stats(), session_base);
-    }
+    if (session != nullptr) result.session = session->stats();
   };
 
   // -- fit (vector fitting) --------------------------------------------
@@ -377,21 +351,8 @@ PipelineResult run_pipeline(const PipelineJob& job,
 
   // -- realize (structured SIMO state space) ---------------------------
   if (!run_stage(Stage::kRealize, [&] {
-        macromodel::SimoRealization realization(fit.model);
-        // A job that explicitly asks for cold solves gets a private
-        // session: a pooled one is configured at pool level and could
-        // hand this job another job's warm cache.
-        if (context.session_pool != nullptr &&
-            job.options.session.warm_start) {
-          lease = context.session_pool->checkout(std::move(realization));
-          session = &lease.session();
-          result.session_reused = lease.reused();
-          session_base = session->stats();
-        } else {
-          owned_session = std::make_unique<engine::SolverSession>(
-              std::move(realization), job.options.session);
-          session = owned_session.get();
-        }
+        session = std::make_unique<engine::SolverSession>(
+            macromodel::SimoRealization(fit.model), job.options.session);
       })) {
     return result;
   }

@@ -291,14 +291,6 @@ std::string handle_stats(JobServer& server,
      << ", \"removed\": " << stats.queue.removed
      << ", \"push_waits\": " << stats.queue.push_waits
      << ", \"peak_size\": " << stats.queue.peak_size << "}";
-  os << ", \"session_pool\": {\"checkouts\": " << stats.pool.checkouts
-     << ", \"pool_hits\": " << stats.pool.pool_hits
-     << ", \"creations\": " << stats.pool.creations
-     << ", \"restores\": " << stats.pool.restores
-     << ", \"evictions\": " << stats.pool.evictions
-     << ", \"idle_sessions\": " << stats.pool.idle_sessions
-     << ", \"leased_sessions\": " << stats.pool.leased_sessions
-     << ", \"idle_bytes\": " << stats.pool.idle_bytes << "}";
   os << ", \"store\": {\"durable\": "
      << (stats.storage.durable ? "true" : "false")
      << ", \"records\": " << stats.storage.records

@@ -55,7 +55,6 @@ JobServer::JobServer(ServerOptions options, pipeline::ParallelismPlan plan)
       traces_(options_.trace_capacity, options_.trace_file),
       queue_(options_.queue_capacity, registry_),
       store_(make_storage(options_, registry_)),
-      session_pool_(options_.pool),
       campaigns_(*this, *registry_),
       pool_(worker_count_) {
   jobs_submitted_ = &registry_->counter("phes_jobs_submitted_total");
@@ -252,7 +251,6 @@ void JobServer::run_one(QueuedJob item) {
   }
 
   pipeline::PipelineContext context;
-  if (options_.share_sessions) context.session_pool = &session_pool_;
   context.cancel = flag.get();
   context.on_stage_start = [this, id](pipeline::Stage stage) {
     store_.set_stage(id, stage);
@@ -329,7 +327,6 @@ ServerStats JobServer::stats() const {
   s.workers = worker_count_;
   s.solver_threads = solver_threads_;
   s.queue = queue_.stats();
-  s.pool = session_pool_.stats();
   s.storage = store_.storage_stats();
   s.states = store_.state_counts();
   return s;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "phes/core/lambda_max.hpp"
 #include "phes/core/solver.hpp"
@@ -145,11 +146,18 @@ TEST(Solver, SerialRunsAreDeterministic) {
   opt.seed = 5;
   const auto r1 = solver.solve(opt);
   const auto r2 = solver.solve(opt);
+  // Bitwise: a serial solve must repeat every operation in order.
   ASSERT_EQ(r1.crossings.size(), r2.crossings.size());
-  for (std::size_t i = 0; i < r1.crossings.size(); ++i) {
-    EXPECT_DOUBLE_EQ(r1.crossings[i], r2.crossings[i]);
-  }
+  EXPECT_EQ(std::memcmp(r1.crossings.data(), r2.crossings.data(),
+                        r1.crossings.size() * sizeof(double)),
+            0);
+  ASSERT_EQ(r1.eigenvalues.size(), r2.eigenvalues.size());
+  EXPECT_EQ(std::memcmp(r1.eigenvalues.data(), r2.eigenvalues.data(),
+                        r1.eigenvalues.size() * sizeof(la::Complex)),
+            0);
   EXPECT_EQ(r1.shifts_processed, r2.shifts_processed);
+  EXPECT_EQ(r1.total_matvecs, r2.total_matvecs);
+  EXPECT_EQ(r1.locked_vectors, r2.locked_vectors);
 }
 
 TEST(Solver, LockedVectorCountsAddUp) {

@@ -275,10 +275,9 @@ TEST(Pipeline, InlineTextInputMatchesThePathRoute) {
   EXPECT_EQ(failed.failed_stage, Stage::kLoad);
 }
 
-TEST(Pipeline, BatchSessionPoolSharesAcrossDuplicateModels) {
-  // Four jobs over ONE model, one worker: jobs serialize, so jobs 2-4
-  // must check the first job's session back out of the batch pool and
-  // serve their eigensolves from its factorization cache.
+TEST(Pipeline, BatchDuplicateModelsAgreeBitForBit) {
+  // Four jobs over ONE model, one worker: every job runs on its own
+  // session, and all four crossing sets agree bit for bit.
   const auto samples = non_passive_samples(7, 20);
   std::vector<PipelineJob> jobs;
   for (int i = 0; i < 4; ++i) {
@@ -292,48 +291,19 @@ TEST(Pipeline, BatchSessionPoolSharesAcrossDuplicateModels) {
   pipeline::BatchOptions options;
   options.job_workers = 1;
   options.solver_threads = 1;
-  const pipeline::BatchRunner runner(options);
-  const auto outcome = runner.run_all(jobs);
+  const auto results = pipeline::BatchRunner(options).run(jobs);
 
-  ASSERT_EQ(outcome.results.size(), 4u);
-  for (const auto& r : outcome.results) ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(outcome.pool.checkouts, 4u);
-  EXPECT_EQ(outcome.pool.creations, 1u);
-  EXPECT_EQ(outcome.pool.pool_hits, 3u) << "duplicate models must share";
-  EXPECT_FALSE(outcome.results[0].session_reused);
+  ASSERT_EQ(results.size(), 4u);
+  for (const auto& r : results) ASSERT_TRUE(r.ok) << r.error;
   for (int i = 1; i < 4; ++i) {
-    EXPECT_TRUE(outcome.results[i].session_reused);
-    EXPECT_GT(outcome.results[i].session.cache.hits, 0u)
-        << "cross-job factorization reuse missing on job " << i;
-  }
-  // Pooled reuse must not change the numbers: all four crossing sets
-  // agree bit for bit.
-  for (int i = 1; i < 4; ++i) {
-    ASSERT_EQ(outcome.results[i].initial_report.crossings.size(),
-              outcome.results[0].initial_report.crossings.size());
-    for (std::size_t k = 0;
-         k < outcome.results[i].initial_report.crossings.size(); ++k) {
-      EXPECT_DOUBLE_EQ(outcome.results[i].initial_report.crossings[k],
-                       outcome.results[0].initial_report.crossings[k]);
+    ASSERT_EQ(results[i].initial_report.crossings.size(),
+              results[0].initial_report.crossings.size());
+    for (std::size_t k = 0; k < results[i].initial_report.crossings.size();
+         ++k) {
+      EXPECT_DOUBLE_EQ(results[i].initial_report.crossings[k],
+                       results[0].initial_report.crossings[k]);
     }
   }
-
-  // Same batch with sharing off: private sessions, no pool activity.
-  pipeline::BatchOptions isolated = options;
-  isolated.share_sessions = false;
-  const auto cold = pipeline::BatchRunner(isolated).run_all(jobs);
-  EXPECT_EQ(cold.pool.checkouts, 0u);
-  for (const auto& r : cold.results) {
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_FALSE(r.session_reused);
-  }
-  // The summary table gains a pool footer row when stats are passed.
-  const auto table =
-      pipeline::summary_table(outcome.results, &outcome.pool);
-  std::ostringstream rendered;
-  table.print(rendered);
-  EXPECT_NE(rendered.str().find("(session pool)"), std::string::npos);
-  EXPECT_NE(rendered.str().find("3/4 reused"), std::string::npos);
 }
 
 TEST(Pipeline, ParallelismPlanSplitsTheBudget) {

@@ -143,8 +143,6 @@ TEST(TransportStress, SixteenConcurrentTcpClients) {
 
   const auto server_stats = jobs.stats();
   EXPECT_EQ(server_stats.submitted, kTotal);
-  EXPECT_GT(server_stats.pool.pool_hits, 0u)
-      << "inline TCP jobs must share pooled sessions too";
 
   transport.stop();
   jobs.shutdown(true);
