@@ -45,9 +45,8 @@ struct SeedPlan {
 /// Sort the seeds, drop those outside (omega_min, omega_max), and merge
 /// seeds closer than `min_gap` (the survivor is the first of each
 /// cluster).  `radii` may be empty or parallel to `shifts`; kept radii
-/// stay paired.  Kept shift values are returned EXACTLY as given —
-/// warm-start prefetching relies on bitwise-equal shifts for its cache
-/// keys.
+/// stay paired.  Kept shift values are returned EXACTLY as given — a
+/// replayed certified radius is proven only for its exact center.
 [[nodiscard]] SeedPlan plan_seeds(double omega_min, double omega_max,
                                   const la::RealVector& shifts,
                                   const la::RealVector& radii,

@@ -69,8 +69,8 @@ struct SingleShiftResult {
     double rho0, const SingleShiftOptions& options, util::Rng& rng);
 
 /// Same iteration, but the shift-invert operator is requested through
-/// `factory` (e.g. an engine::ShiftFactorizationCache) instead of built
-/// from scratch.  An empty factory falls back to direct construction.
+/// `factory` (e.g. a timing wrapper) instead of built from scratch.
+/// An empty factory falls back to direct construction.
 [[nodiscard]] SingleShiftResult single_shift_iteration(
     const macromodel::SimoRealization& realization, double omega_center,
     double rho0, const SingleShiftOptions& options, util::Rng& rng,

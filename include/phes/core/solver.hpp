@@ -90,8 +90,6 @@ struct SolverResult {
   bool warm_started = false;     ///< scheduler seeded from a prior solve
   std::size_t seeded_shifts = 0; ///< seed intervals injected at startup
   std::size_t factorizations = 0;  ///< shift-invert operators built
-  std::size_t cache_hits = 0;      ///< factorization-cache hits
-  std::size_t cache_misses = 0;    ///< factorization-cache misses
 };
 
 /// Warm-start seeds for a re-solve (produced by engine::SolverSession
@@ -112,8 +110,8 @@ struct WarmStartSeeds {
 /// Per-solve dependency hooks.  Default-constructed context reproduces
 /// the classic cold solve bit for bit.
 struct SolveContext {
-  /// Routes shift-invert construction (e.g. through a factorization
-  /// cache).  Empty => build one operator per shift from scratch.
+  /// Routes shift-invert construction (e.g. through a timing wrapper).
+  /// Empty => build one operator per shift from scratch.
   hamiltonian::ShiftInvertFactory factory;
   /// Scheduler seeding; nullptr => the paper's uniform startup grid.
   const WarmStartSeeds* seeds = nullptr;
@@ -125,15 +123,6 @@ struct SolveContext {
   bool confirm_seeded = false;
 };
 
-/// The exact seed plan solve() will hand the scheduler for `options`
-/// on band [band_lo, band_hi] — the single source of truth for the
-/// seed filter, exposed so engine::SolverSession can prefetch
-/// factorizations for bitwise-identical shift keys.  Empty when the
-/// scheduling mode or seed set yields no seeded startup.
-[[nodiscard]] SeedPlan planned_seeds(const SolverOptions& options,
-                                     double band_lo, double band_hi,
-                                     const WarmStartSeeds& seeds);
-
 class ParallelHamiltonianEigensolver {
  public:
   /// Keeps a reference to `realization` (caller guarantees lifetime).
@@ -144,8 +133,8 @@ class ParallelHamiltonianEigensolver {
   /// on one instance are allowed (all state is per-call).
   [[nodiscard]] SolverResult solve(const SolverOptions& options) const;
 
-  /// Same search with per-solve hooks: a shift-invert factory (cache)
-  /// and warm-start scheduler seeds.
+  /// Same search with per-solve hooks: a shift-invert factory and
+  /// warm-start scheduler seeds.
   [[nodiscard]] SolverResult solve(const SolverOptions& options,
                                    const SolveContext& context) const;
 

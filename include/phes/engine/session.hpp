@@ -7,37 +7,31 @@
 // verify stage both re-run the eigensolver on a model that differs only
 // slightly — or not at all — from the one just solved.  A
 // SolverSession makes that reuse explicit: it owns a SimoRealization
-// snapshot, a thread-safe LRU ShiftFactorizationCache keyed on
-// (model revision, shift), and a WarmStart record of the previous
-// outcome that seeds the shift scheduler on re-solves:
+// snapshot and a WarmStart record of the previous outcome that seeds
+// the shift scheduler on re-solves:
 //
 //  - same revision (verify after enforce, confirmation re-solves): the
-//    startup shifts are the previous certified disk centers, every
-//    factorization comes back as a cache hit, and the |lambda|max band
-//    estimate is skipped.  The recorded solve counts as the
-//    confirmation restart of each replayed disk (min_restarts drops to
-//    1 for the seeded intervals only; fresh mop-up intervals keep the
-//    full restart insurance), roughly halving the cost of empty disks
-//    on the verify path;
-//  - after update_residues (next enforcement round): factorizations are
-//    invalidated (the operator reads C at apply time) but the
-//    warm-start seeds survive — the startup shifts are the previous
-//    crossing frequencies, exactly where the perturbed eigenvalues
-//    still cluster, and the band edge is reused.
+//    startup shifts are the previous certified disk centers and the
+//    |lambda|max band estimate is skipped.  The recorded solve counts
+//    as the confirmation restart of each replayed disk (min_restarts
+//    drops to 1 for the seeded intervals only; fresh mop-up intervals
+//    keep the full restart insurance), roughly halving the cost of
+//    empty disks on the verify path;
+//  - after update_residues (next enforcement round): the warm-start
+//    seeds survive — the startup shifts are the previous crossing
+//    frequencies, exactly where the perturbed eigenvalues still
+//    cluster, and the band edge is reused.
 //
-// Either way the seed shifts' factorizations are built up front with
-// the solve's thread budget, so seeded startup intervals begin with
-// cache hits.
+// Every shift builds its own shift-and-invert operator, as in a cold
+// ParallelHamiltonianEigensolver::solve: the SMW factorization is a
+// negligible share of a shift's Arnoldi work, so nothing is cached.
 //
-// One session per job; solve() itself is not thread-safe (run solves
-// sequentially on a session), but the solver's worker threads share the
-// cache safely.
+// One session per job; solve() is not thread-safe (run solves
+// sequentially on a session).
 
-#include <atomic>
 #include <cstdint>
 
 #include "phes/core/solver.hpp"
-#include "phes/engine/shift_cache.hpp"
 #include "phes/la/matrix.hpp"
 #include "phes/macromodel/pole_residue.hpp"
 #include "phes/macromodel/simo_realization.hpp"
@@ -61,13 +55,25 @@ struct WarmStart {
   la::RealVector shift_radii;    ///< certified radii, parallel to centers
 };
 
+/// Factorization-cache counters.  A session caches no factorizations,
+/// so new solves always report 0.  The fields stay because job records
+/// stored by earlier versions, which had a cache, must re-serialize
+/// byte for byte, and because perfbench/src still names them.
+struct CacheStats {
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  std::size_t evictions = 0;
+};
+
 /// Aggregate session counters (surfaced per job by the pipeline).
 struct SessionStats {
-  CacheStats cache;
+  CacheStats cache;  ///< always 0 for new solves (see CacheStats)
   std::uint64_t revision = 0;
   std::size_t solves = 0;          ///< solver invocations on this session
   std::size_t warm_solves = 0;     ///< solves that consumed a warm start
-  std::size_t factorizations = 0;  ///< shift-invert operators built
+  /// Shift-invert operators built: the sum of the solves'
+  /// SolverResult::factorizations.
+  std::size_t factorizations = 0;
 };
 
 struct SessionOptions {
@@ -94,16 +100,15 @@ class SolverSession {
   [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
 
   /// Replace the residue matrix C (what enforcement perturbs).  Bumps
-  /// the model revision and invalidates every cached factorization —
-  /// but deliberately keeps the warm-start record: the new model's
-  /// imaginary eigenvalues still cluster near the old crossings.
+  /// the model revision but deliberately keeps the warm-start record:
+  /// the new model's imaginary eigenvalues still cluster near the old
+  /// crossings.
   void update_residues(const la::RealMatrix& c);
 
   /// Run the eigensolver on the current snapshot, warm-started from the
-  /// previous outcome and with factorizations routed through the cache.
+  /// previous outcome.
   [[nodiscard]] core::SolverResult solve(const core::SolverOptions& options);
 
-  [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
   [[nodiscard]] SessionStats stats() const;
   [[nodiscard]] const WarmStart& warm_start() const noexcept { return warm_; }
 
@@ -111,14 +116,13 @@ class SolverSession {
   macromodel::SimoRealization realization_;
   SessionOptions options_;
   std::uint64_t revision_ = 0;
-  ShiftFactorizationCache cache_;
   WarmStart warm_;
   /// Cumulative relative C drift since the band edge was last
   /// estimated; solve() refuses the warm band hint (and re-estimates)
   /// once this is no longer small relative to the estimate's safety
   /// factor, so the search band cannot go stale over many rounds.
   double residue_drift_ = 0.0;
-  std::atomic<std::size_t> factorizations_{0};
+  std::size_t factorizations_ = 0;
   std::size_t solves_ = 0;
   std::size_t warm_solves_ = 0;
 };

@@ -36,8 +36,8 @@ class SmwShiftInvertOp;
 
 /// Pluggable construction of shift-and-invert operators.  The Krylov
 /// layers request (M - theta I)^{-1} through this hook, so a caller can
-/// route construction through a factorization cache
-/// (engine::ShiftFactorizationCache) instead of building from scratch.
+/// wrap construction (perfbench times factorizations this way, and
+/// tests use it as a seam).
 /// Like the direct constructor, a factory throws std::runtime_error
 /// when theta is (numerically) an eigenvalue of M; callers nudge the
 /// shift and retry.  An empty function means "build fresh per shift".

@@ -43,19 +43,12 @@ struct PassivityReport {
     const macromodel::SimoRealization& realization,
     const la::RealVector& crossings, std::size_t samples_per_band = 24);
 
-/// Session-based characterization: run the eigensolver through
-/// `session` (shift-factorization cache + warm-started scheduling),
-/// then classify the bands.  This is the primary entry point — the
-/// enforcement loop and the pipeline thread one session through every
-/// characterize/enforce/verify stage of a job.
+/// Run the eigensolver through `session` (warm-started scheduling on
+/// re-solves), then classify the bands.  The enforcement loop and the
+/// pipeline thread one session through every characterize/enforce/
+/// verify stage of a job; a fresh session gives the cold solve.
 [[nodiscard]] PassivityReport characterize_passivity(
     engine::SolverSession& session,
-    const core::SolverOptions& solver_options);
-
-/// One-call compatibility overload: characterizes through a throwaway
-/// session (cold solve; results are identical to the pre-session API).
-[[nodiscard]] PassivityReport characterize_passivity(
-    const macromodel::SimoRealization& realization,
     const core::SolverOptions& solver_options);
 
 }  // namespace phes::passivity

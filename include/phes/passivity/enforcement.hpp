@@ -41,10 +41,8 @@ struct EnforcementIterate {
   double worst_sigma = 0.0;
   double delta_c_norm = 0.0;  ///< Frobenius norm of this step's DeltaC
   /// This round's characterization cost (warm-started rounds do fewer
-  /// matvecs and hit the factorization cache).
+  /// matvecs).
   std::size_t solver_matvecs = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
   bool warm_started = false;
 };
 
@@ -57,24 +55,15 @@ struct EnforcementResult {
   // Aggregate characterization cost across all rounds.
   std::size_t characterizations = 0;
   std::size_t total_matvecs = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
 };
 
-/// Session-based enforcement: perturb the residues of the model owned
-/// by `session` until passive (or the iteration budget runs out).  Each
-/// round re-characterizes through the session, so rounds 2..k are
-/// warm-started from the previous crossing set and the final
-/// confirmation re-uses the cached factorizations.  Requires
-/// sigma_max(D) < 1.  The perturbed model stays in the session
-/// (session.realization()).
+/// Perturb the residues of the model owned by `session` until passive
+/// (or the iteration budget runs out).  Each round re-characterizes
+/// through the session, so rounds 2..k are warm-started from the
+/// previous crossing set and the final confirmation replays the last
+/// round's certified disks.  Requires sigma_max(D) < 1.  The perturbed
+/// model stays in the session (session.realization()).
 [[nodiscard]] EnforcementResult enforce_passivity(
     engine::SolverSession& session, const EnforcementOptions& options);
-
-/// Compatibility overload: runs through a throwaway session and writes
-/// the perturbed residues back into `realization`.
-[[nodiscard]] EnforcementResult enforce_passivity(
-    macromodel::SimoRealization& realization,
-    const EnforcementOptions& options);
 
 }  // namespace phes::passivity

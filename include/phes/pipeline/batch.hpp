@@ -57,8 +57,7 @@ class BatchRunner {
 };
 
 /// Aggregate per-job results into a summary table (name, status, ports,
-/// order, bands before/after, fit error, session cache hits/misses,
-/// timings).
+/// order, bands before/after, fit error, timings).
 [[nodiscard]] util::Table summary_table(
     const std::vector<PipelineResult>& results);
 

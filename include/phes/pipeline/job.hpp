@@ -53,7 +53,7 @@ struct JobOptions {
   vf::VectorFittingOptions fit{};
   core::SolverOptions solver{};
   passivity::EnforcementOptions enforcement{};
-  /// Solver-session tuning (factorization cache, warm starts).  One
+  /// Solver-session tuning (warm starts).  One
   /// session is created per job and threaded through characterize ->
   /// enforce -> verify.
   engine::SessionOptions session{};
@@ -208,8 +208,8 @@ struct PipelineResult {
   /// model as passive.
   bool certified_passive = false;
 
-  /// Counters of the job's own solver session (factorization cache,
-  /// warm starts) across characterize -> enforce -> verify.
+  /// Counters of the job's own solver session (solves, warm starts,
+  /// factorizations) across characterize -> enforce -> verify.
   engine::SessionStats session;
   /// Always false: every job runs on its own session.  Kept because
   /// stored job records carry it as "reused" (records written when

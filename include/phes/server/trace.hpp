@@ -34,23 +34,21 @@ namespace phes::server {
 /// One executed pipeline stage.  Solver counters are attached to the
 /// stages that drive the Hamiltonian eigensolver: characterize carries
 /// the initial report's counters, verify the final report's, and
-/// enforce the EnforcementResult totals over its re-characterization
-/// rounds (matvecs and cache hits/misses; its factorization count stays
-/// zero, since EnforcementResult keeps none).  The counters are zero on
-/// the other stages.
+/// enforce the EnforcementResult matvec total over its
+/// re-characterization rounds (its factorization count stays zero,
+/// since EnforcementResult keeps none).  The counters are zero on the
+/// other stages.
 struct StageSpan {
   std::string stage;
   double start_unix = 0.0;  ///< wall-clock seconds when the stage began
   double duration_ms = 0.0;
   std::uint64_t matvecs = 0;
   std::uint64_t factorizations = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
 };
 
 /// The full per-job record: queue wait, one span per executed stage in
-/// execution order, and the job-lifetime session counters (cross-stage
-/// cache behaviour, visible even when stages were skipped).
+/// execution order, and the job-lifetime session counters (visible even
+/// when stages were skipped).
 struct JobTrace {
   std::uint64_t id = 0;
   std::string name;
@@ -63,6 +61,9 @@ struct JobTrace {
   std::uint64_t solves = 0;
   std::uint64_t warm_solves = 0;
   std::uint64_t factorizations = 0;
+  /// Always 0: a session caches no factorizations.  Neither is
+  /// serialized; the fields stay because perfbench/src still names
+  /// them.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
 

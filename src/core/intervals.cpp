@@ -47,7 +47,7 @@ std::vector<TentativeInterval> seeded_partition(double omega_min,
     iv.lo = i == 0 ? omega_min : 0.5 * (seeds[i - 1] + seeds[i]);
     iv.hi = i + 1 == seeds.size() ? omega_max
                                   : 0.5 * (seeds[i] + seeds[i + 1]);
-    iv.shift = seeds[i];  // exact: prefetched cache keys must match
+    iv.shift = seeds[i];  // exact: a replayed radius fits this center
     if (!plan.radii.empty()) iv.rho0 = plan.radii[i];
   }
 

@@ -24,18 +24,6 @@ ParallelHamiltonianEigensolver::ParallelHamiltonianEigensolver(
     const macromodel::SimoRealization& realization)
     : realization_(realization) {}
 
-SeedPlan planned_seeds(const SolverOptions& opt, double band_lo,
-                       double band_hi, const WarmStartSeeds& seeds) {
-  if (seeds.shifts.empty() || band_hi <= band_lo ||
-      opt.scheduling != SchedulingMode::kDynamic) {
-    return {};
-  }
-  const double min_width =
-      std::max(opt.resolution * (band_hi - band_lo), 1e-300);
-  return plan_seeds(band_lo, band_hi, seeds.shifts, seeds.radii,
-                    8.0 * min_width);
-}
-
 SolverResult ParallelHamiltonianEigensolver::solve(
     const SolverOptions& opt) const {
   return solve(opt, SolveContext{});
@@ -83,8 +71,10 @@ SolverResult ParallelHamiltonianEigensolver::solve(
   // Warm-start seeds become the startup intervals (dynamic mode only —
   // the static-grid strawman keeps its uniform grid by definition).
   SeedPlan seeds;
-  if (ctx.seeds != nullptr) {
-    seeds = planned_seeds(opt, band_lo, band_hi, *ctx.seeds);
+  if (ctx.seeds != nullptr && !ctx.seeds->shifts.empty() &&
+      opt.scheduling == SchedulingMode::kDynamic) {
+    seeds = plan_seeds(band_lo, band_hi, ctx.seeds->shifts,
+                       ctx.seeds->radii, 8.0 * min_width);
   }
 
   SolverResult result;

@@ -1,8 +1,6 @@
 #include "phes/engine/session.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -33,32 +31,12 @@ void SolverSession::update_residues(const la::RealMatrix& c) {
   }
   realization_.c() = c;
   ++revision_;
-  // Cached operators read C at apply time: everything older is invalid.
-  cache_.invalidate_before(revision_);
 }
 
 core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
-  // Snapshot counters so the result carries per-solve deltas.
-  const CacheStats before = cache_.stats();
-  const std::size_t builds_before = factorizations_.load();
-
-  const std::uint64_t revision = revision_;
-  const la::KernelBackend backend = opt.kernel;
   core::SolveContext ctx;
-  ctx.factory = [this, revision, backend](la::Complex theta) {
-    return cache_.acquire(
-        revision, theta,
-        [&] {
-          factorizations_.fetch_add(1);
-          return std::make_shared<const hamiltonian::SmwShiftInvertOp>(
-              realization_, theta, backend);
-        },
-        backend);
-  };
-
   core::WarmStartSeeds seeds;
-  const bool warm = options_.warm_start && warm_.valid;
-  if (warm) {
+  if (options_.warm_start && warm_.valid) {
     if (warm_.revision == revision_) {
       // Unchanged model: disks replayed with their certified radius
       // (rho0 > 0) already carry the explicit-restart insurance.
@@ -75,10 +53,9 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
       seeds.band_hint = warm_.omega_max;
     }
     // Same revision: re-solve the identical model — the previous disk
-    // plan (centers AND certified radii) is proven and the
-    // factorizations are still resident.  New revision: the crossings
-    // are where the perturbed eigenvalues still cluster, but the disks
-    // must be re-derived.
+    // plan (centers AND certified radii) is proven.  New revision: the
+    // crossings are where the perturbed eigenvalues still cluster, but
+    // the disks must be re-derived.
     if (warm_.revision == revision_) {
       seeds.shifts = warm_.shift_centers;
       seeds.radii = warm_.shift_radii;
@@ -97,55 +74,11 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
                          .shifts;
     }
     ctx.seeds = &seeds;
-
-    const double band_hi =
-        opt.omega_max > opt.omega_min ? opt.omega_max : seeds.band_hint;
-    if (band_hi > opt.omega_min) {
-      // Pre-build the factorizations the scheduler will ask for first.
-      // planned_seeds is the solver's own filter, so the prefetched
-      // cache keys match the scheduler's requests bitwise.
-      const core::SeedPlan kept =
-          core::planned_seeds(opt, opt.omega_min, band_hi, seeds);
-      // Prefetch is best-effort: a build failure of any kind (singular
-      // shift, allocation, precondition) is left for the solve proper
-      // to surface — never let it escape a worker thread.
-      const auto prefetch_one = [&](double w) noexcept {
-        try {
-          (void)ctx.factory(la::Complex(0.0, w));
-        } catch (...) {
-        }
-      };
-      // Factorizations are the dominant per-shift setup cost; build
-      // them with the solve's thread budget, not serially.
-      const std::size_t workers =
-          std::min<std::size_t>(opt.threads, kept.shifts.size());
-      if (workers <= 1) {
-        for (double w : kept.shifts) prefetch_one(w);
-      } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t t = 0; t < workers; ++t) {
-          pool.emplace_back([&] {
-            for (;;) {
-              const std::size_t i = next.fetch_add(1);
-              if (i >= kept.shifts.size()) return;
-              prefetch_one(kept.shifts[i]);
-            }
-          });
-        }
-        for (auto& th : pool) th.join();
-      }
-    }
   }
 
   core::ParallelHamiltonianEigensolver solver(realization_);
   core::SolverResult result = solver.solve(opt, ctx);
-
-  const CacheStats after = cache_.stats();
-  result.cache_hits = after.hits - before.hits;
-  result.cache_misses = after.misses - before.misses;
-  result.factorizations += factorizations_.load() - builds_before;
+  factorizations_ += result.factorizations;
 
   // A fresh |lambda|max estimate ran: the band edge is current again.
   if (result.lambda_max_matvecs > 0) residue_drift_ = 0.0;
@@ -179,11 +112,10 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
 
 SessionStats SolverSession::stats() const {
   SessionStats s;
-  s.cache = cache_.stats();
   s.revision = revision_;
   s.solves = solves_;
   s.warm_solves = warm_solves_;
-  s.factorizations = factorizations_.load();
+  s.factorizations = factorizations_;
   return s;
 }
 

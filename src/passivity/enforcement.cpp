@@ -74,13 +74,9 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
   const auto record_cost = [&result](EnforcementIterate& it,
                                      const core::SolverResult& solver) {
     it.solver_matvecs = solver.total_matvecs;
-    it.cache_hits = solver.cache_hits;
-    it.cache_misses = solver.cache_misses;
     it.warm_started = solver.warm_started;
     ++result.characterizations;
     result.total_matvecs += solver.total_matvecs;
-    result.cache_hits += solver.cache_hits;
-    result.cache_misses += solver.cache_misses;
   };
 
   for (std::size_t iter = 0; iter < opt.max_iterations; ++iter) {
@@ -227,7 +223,7 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
     // step stays applied: slow progress beats stalling.
 
     // Commit the accepted step: bump the session's model revision
-    // (invalidating factorizations, keeping the warm-start seeds).
+    // (keeping the warm-start seeds).
     session.update_residues(realization.c());
 
     it.delta_c_norm = step_norm * scale_step;
@@ -237,8 +233,8 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
 
   if (!result.success && result.iterations < opt.max_iterations) {
     // Loop ended via the grazing-violation break; verify once more.
-    // Same revision as the round that broke out, so the factorization
-    // cache serves this confirmation almost for free.
+    // Same revision as the round that broke out, so this confirmation
+    // replays that round's certified disks.
     const PassivityReport final_report =
         characterize_passivity(session, opt.solver);
     EnforcementIterate confirm;
@@ -249,14 +245,6 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
   const RealMatrix diff = session.realization().c() - c_initial;
   result.relative_model_change =
       c_initial_norm > 0.0 ? la::frobenius_norm(diff) / c_initial_norm : 0.0;
-  return result;
-}
-
-EnforcementResult enforce_passivity(macromodel::SimoRealization& realization,
-                                    const EnforcementOptions& opt) {
-  engine::SolverSession session{macromodel::SimoRealization(realization)};
-  EnforcementResult result = enforce_passivity(session, opt);
-  realization.c() = session.realization().c();
   return result;
 }
 

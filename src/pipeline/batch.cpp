@@ -71,7 +71,7 @@ std::vector<PipelineResult> BatchRunner::run(
 
 util::Table summary_table(const std::vector<PipelineResult>& results) {
   util::Table table({"job", "status", "ports", "order", "fit rms",
-                     "bands", "after", "cache", "time [s]"});
+                     "bands", "after", "time [s]"});
   for (const auto& r : results) {
     const bool characterized =
         std::any_of(r.stage_timings.begin(), r.stage_timings.end(),
@@ -83,9 +83,6 @@ util::Table summary_table(const std::vector<PipelineResult>& results) {
                     [](const StageTiming& t) {
                       return t.stage == Stage::kVerify;
                     });
-    // Factorization reuse at a glance: hits/misses of the job's
-    // session cache across characterize + enforce rounds + verify.
-    const auto& cache = r.session.cache;
     table.add_row({
         r.name,
         r.status(),
@@ -94,9 +91,6 @@ util::Table summary_table(const std::vector<PipelineResult>& results) {
         r.order > 0 ? util::format_double(r.fit_rms) : "-",
         characterized ? std::to_string(r.initial_report.bands.size()) : "-",
         verified ? std::to_string(r.final_report.bands.size()) : "-",
-        characterized ? std::to_string(cache.hits) + "/" +
-                            std::to_string(cache.misses)
-                      : "-",
         util::format_double(r.total_seconds),
     });
   }

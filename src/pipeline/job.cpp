@@ -383,8 +383,8 @@ PipelineResult run_pipeline(const PipelineJob& job,
     return result;
   }
 
-  // -- verify (independent re-characterization; warm-started, and on
-  // the unchanged revision the factorization cache serves it) ----------
+  // -- verify (re-characterization of the enforced revision; warm-started
+  // from the last round's certified disks) ----------------------------
   if (!run_stage(Stage::kVerify, [&] {
         result.final_report = passivity::characterize_passivity(
             *session, job.options.solver);

@@ -109,6 +109,8 @@ void write_job_json(const PipelineResult& r, std::ostream& os,
      << ", \"characterizations\": " << r.enforcement.characterizations
      << ", \"relative_model_change\": "
      << fmt(r.enforcement.relative_model_change) << " },\n";
+  // The cache_* keys read 0 for new jobs (see engine::CacheStats); they
+  // stay so records stored by earlier versions re-serialize unchanged.
   os << pad << "  \"session\": { \"cache_hits\": " << r.session.cache.hits
      << ", \"cache_misses\": " << r.session.cache.misses
      << ", \"cache_evictions\": " << r.session.cache.evictions
@@ -261,26 +263,22 @@ void write_summary_json(const std::vector<PipelineResult>& results,
   os << "\n  ],\n";
 
   std::size_t succeeded = 0;
-  std::size_t hits = 0, misses = 0, warm = 0;
+  std::size_t warm = 0;
   double seconds = 0.0;
   for (const auto& r : results) {
     if (r.ok) ++succeeded;
-    hits += r.session.cache.hits;
-    misses += r.session.cache.misses;
     warm += r.session.warm_solves;
     seconds += r.total_seconds;
   }
   os << "  \"summary\": { \"jobs\": " << results.size()
-     << ", \"succeeded\": " << succeeded << ", \"cache_hits\": " << hits
-     << ", \"cache_misses\": " << misses << ", \"warm_solves\": " << warm
+     << ", \"succeeded\": " << succeeded << ", \"warm_solves\": " << warm
      << ", \"total_seconds\": " << fmt(seconds) << " }\n}\n";
 }
 
 void write_summary_csv(const std::vector<PipelineResult>& results,
                        std::ostream& os) {
   os << "job,id,status,ok,cancelled,ports,order,fit_rms,bands_initial,"
-        "bands_final,enforce_iterations,cache_hits,cache_misses,"
-        "cache_evictions,factorizations,solves,warm_solves,"
+        "bands_final,enforce_iterations,factorizations,solves,warm_solves,"
         "session_reused,total_matvecs,"
         "seconds_load,seconds_fit,seconds_realize,seconds_characterize,"
         "seconds_enforce,seconds_verify,seconds_total\n";
@@ -306,9 +304,7 @@ void write_summary_csv(const std::vector<PipelineResult>& results,
        << ','
        << (verified ? std::to_string(r.final_report.bands.size())
                     : std::string())
-       << ',' << r.enforcement.iterations << ',' << r.session.cache.hits
-       << ',' << r.session.cache.misses << ','
-       << r.session.cache.evictions << ',' << r.session.factorizations
+       << ',' << r.enforcement.iterations << ',' << r.session.factorizations
        << ',' << r.session.solves << ',' << r.session.warm_solves << ','
        << (r.session_reused ? 1 : 0) << ',' << job_matvecs(r);
     for (const Stage stage : kAllStages) {

@@ -311,13 +311,11 @@ void JobServer::log_slow_job(const JobTrace& trace) const {
   for (const StageSpan& span : trace.spans) {
     os << ' ' << span.stage << '=' << span.duration_ms << "ms";
     if (span.matvecs > 0) {
-      os << "(matvecs=" << span.matvecs
-         << ",cache=" << span.cache_hits << '/' << span.cache_misses
-         << ",fact=" << span.factorizations << ')';
+      os << "(matvecs=" << span.matvecs << ",fact=" << span.factorizations
+         << ')';
     }
   }
-  os << " session: solves=" << trace.solves << " warm=" << trace.warm_solves
-     << " cache=" << trace.cache_hits << '/' << trace.cache_misses;
+  os << " session: solves=" << trace.solves << " warm=" << trace.warm_solves;
   util::log_line("slow-job", os.str());
 }
 

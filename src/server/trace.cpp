@@ -35,9 +35,7 @@ std::string span_json(const StageSpan& span) {
      << "\", \"start_unix\": " << fmt_fixed(span.start_unix)
      << ", \"duration_ms\": " << fmt_fixed(span.duration_ms)
      << ", \"matvecs\": " << span.matvecs
-     << ", \"factorizations\": " << span.factorizations
-     << ", \"cache_hits\": " << span.cache_hits
-     << ", \"cache_misses\": " << span.cache_misses << "}";
+     << ", \"factorizations\": " << span.factorizations << "}";
   return os.str();
 }
 
@@ -57,9 +55,7 @@ std::string JobTrace::to_json() const {
   }
   os << "], \"session\": {\"solves\": " << solves
      << ", \"warm_solves\": " << warm_solves
-     << ", \"factorizations\": " << factorizations
-     << ", \"cache_hits\": " << cache_hits
-     << ", \"cache_misses\": " << cache_misses << "}}";
+     << ", \"factorizations\": " << factorizations << "}}";
   return os.str();
 }
 
@@ -80,8 +76,6 @@ JobTrace JobTrace::from_json(const util::JsonValue& v) {
       span.duration_ms = item.number_or("duration_ms", 0.0);
       span.matvecs = item.uint_or("matvecs", 0);
       span.factorizations = item.uint_or("factorizations", 0);
-      span.cache_hits = item.uint_or("cache_hits", 0);
-      span.cache_misses = item.uint_or("cache_misses", 0);
       t.spans.push_back(std::move(span));
     }
   }
@@ -89,8 +83,6 @@ JobTrace JobTrace::from_json(const util::JsonValue& v) {
     t.solves = session->uint_or("solves", 0);
     t.warm_solves = session->uint_or("warm_solves", 0);
     t.factorizations = session->uint_or("factorizations", 0);
-    t.cache_hits = session->uint_or("cache_hits", 0);
-    t.cache_misses = session->uint_or("cache_misses", 0);
   }
   return t;
 }
@@ -113,8 +105,9 @@ JobTrace build_job_trace(const pipeline::PipelineResult& result,
     span.duration_ms = round_fixed(timing.seconds * 1e3);
     // The eigensolver stages carry their SolverResult's counters: the
     // characterize stage produced the initial report, verify the final
-    // one.  Enforce carries the totals over its re-characterization
-    // rounds; EnforcementResult keeps no factorization count.
+    // one.  Enforce carries the matvec total over its
+    // re-characterization rounds; EnforcementResult keeps no
+    // factorization count.
     const core::SolverResult* solver = nullptr;
     if (timing.stage == pipeline::Stage::kCharacterize) {
       solver = &result.initial_report.solver;
@@ -122,22 +115,16 @@ JobTrace build_job_trace(const pipeline::PipelineResult& result,
       solver = &result.final_report.solver;
     } else if (timing.stage == pipeline::Stage::kEnforce) {
       span.matvecs = result.enforcement.total_matvecs;
-      span.cache_hits = result.enforcement.cache_hits;
-      span.cache_misses = result.enforcement.cache_misses;
     }
     if (solver != nullptr) {
       span.matvecs = solver->total_matvecs;
       span.factorizations = solver->factorizations;
-      span.cache_hits = solver->cache_hits;
-      span.cache_misses = solver->cache_misses;
     }
     t.spans.push_back(std::move(span));
   }
   t.solves = result.session.solves;
   t.warm_solves = result.session.warm_solves;
   t.factorizations = result.session.factorizations;
-  t.cache_hits = result.session.cache.hits;
-  t.cache_misses = result.session.cache.misses;
   return t;
 }
 

@@ -10,6 +10,7 @@
 
 #include "phes/core/lambda_max.hpp"
 #include "phes/core/solver.hpp"
+#include "phes/engine/session.hpp"
 #include "phes/hamiltonian/analysis.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/la/schur.hpp"
@@ -33,6 +34,13 @@ struct Fixture {
   double scale;
 };
 
+/// Dense-Schur crossing frequencies of `simo`'s Hamiltonian.
+RealVector dense_truth(const SimoRealization& simo, double scale) {
+  auto m = hamiltonian::build_scattering_hamiltonian(simo.to_dense());
+  const auto spectrum = la::real_eigenvalues(std::move(m));
+  return hamiltonian::extract_imaginary_frequencies(spectrum, 1e-8, scale);
+}
+
 Fixture make_fixture(double peak, std::uint64_t seed,
                      std::size_t states = 36, std::size_t ports = 3) {
   macromodel::SyntheticModelSpec spec;
@@ -42,11 +50,8 @@ Fixture make_fixture(double peak, std::uint64_t seed,
   spec.seed = seed;
   auto model = macromodel::make_synthetic_model(spec);
   SimoRealization simo(model);
-  auto m = hamiltonian::build_scattering_hamiltonian(simo.to_dense());
-  const auto spectrum = la::real_eigenvalues(std::move(m));
   const double scale = model.max_pole_magnitude();
-  auto truth =
-      hamiltonian::extract_imaginary_frequencies(spectrum, 1e-8, scale);
+  auto truth = dense_truth(simo, scale);
   return {std::move(model), std::move(simo), std::move(truth), scale};
 }
 
@@ -90,6 +95,43 @@ TEST_P(SolverAgainstTruth, StaticGridMatchesDenseSchur) {
   EXPECT_TRUE(test::frequencies_match(res.crossings, fx.truth,
                                       1e-5 * fx.scale));
   EXPECT_EQ(res.shifts_eliminated, 0u);
+}
+
+TEST_P(SolverAgainstTruth, SessionWarmResolvesMatchDenseSchur) {
+  // The session's warm paths against the oracle: a cold solve, a
+  // same-revision re-solve (replayed disks, confirmation restarts) and
+  // a re-solve after a residue update (crossing seeds, reused band),
+  // each checked against the dense-Schur crossings of the model it
+  // solved.
+  const Fixture fx = make_fixture(1.07, 900 + GetParam());
+  engine::SolverSession session{SimoRealization(fx.simo)};
+  SolverOptions opt;
+  opt.threads = 2;
+  opt.seed = 41 + GetParam();
+  const double tol = 1e-5 * fx.scale;
+
+  const auto cold = session.solve(opt);
+  ASSERT_FALSE(cold.warm_started);
+  EXPECT_TRUE(test::frequencies_match(cold.crossings, fx.truth, tol))
+      << "cold found " << cold.crossings.size() << " vs truth "
+      << fx.truth.size();
+
+  const auto same = session.solve(opt);
+  ASSERT_TRUE(same.warm_started);
+  EXPECT_TRUE(test::frequencies_match(same.crossings, fx.truth, tol))
+      << "same-revision found " << same.crossings.size() << " vs truth "
+      << fx.truth.size();
+
+  la::RealMatrix c = session.realization().c();
+  c *= 0.995;
+  session.update_residues(c);
+  const RealVector truth_next = dense_truth(session.realization(), fx.scale);
+  const auto next = session.solve(opt);
+  ASSERT_TRUE(next.warm_started);
+  EXPECT_TRUE(test::frequencies_match(next.crossings, truth_next, tol))
+      << "post-update found " << next.crossings.size() << " vs truth "
+      << truth_next.size();
+  EXPECT_EQ(next.passive, truth_next.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, SolverAgainstTruth, ::testing::Range(0, 6));

@@ -1,18 +1,16 @@
-// Engine subsystem tests: the shift-factorization LRU cache (eviction
-// order, revision invalidation, concurrent access) and the
-// SolverSession contract — cold solves bit-identical to the classic
-// API, warm re-solves finding the same crossing set cheaper, and the
-// enforcement loop's re-characterizations hitting the cache.
+// Engine subsystem tests: the SolverSession contract — cold solves
+// bit-identical to the classic solver API, warm re-solves finding the
+// same crossing set cheaper, one factorization per processed shift,
+// and the enforcement loop's re-characterizations warm-started.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <thread>
+#include <initializer_list>
 #include <vector>
 
+#include "phes/core/solver.hpp"
 #include "phes/engine/session.hpp"
-#include "phes/engine/shift_cache.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/passivity/characterization.hpp"
@@ -22,10 +20,7 @@
 namespace phes {
 namespace {
 
-using engine::SessionOptions;
-using engine::ShiftFactorizationCache;
 using engine::SolverSession;
-using la::Complex;
 using macromodel::SimoRealization;
 
 // Shared seeded-model fixture (tests/test_support.hpp).
@@ -33,131 +28,6 @@ macromodel::PoleResidueModel make_model(double peak, std::uint64_t seed,
                                         std::size_t states = 36,
                                         std::size_t ports = 3) {
   return test::synthetic_model(peak, seed, states, ports);
-}
-
-ShiftFactorizationCache::OpPtr build_op(const SimoRealization& simo,
-                                        Complex theta) {
-  return std::make_shared<const hamiltonian::SmwShiftInvertOp>(simo, theta);
-}
-
-// ---- ShiftFactorizationCache ------------------------------------------
-
-TEST(ShiftCache, HitsMissesAndStats) {
-  const auto model = make_model(1.05, 10, 20, 2);
-  const SimoRealization simo(model);
-  ShiftFactorizationCache cache(8);
-
-  const Complex t1(0.0, 1.0), t2(0.0, 2.0);
-  const auto op1 = cache.acquire(0, t1, [&] { return build_op(simo, t1); });
-  ASSERT_NE(op1, nullptr);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // Same key: hit, same operator instance.
-  const auto again = cache.acquire(0, t1, [&] { return build_op(simo, t1); });
-  EXPECT_EQ(again.get(), op1.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // Different shift and different revision are distinct keys.
-  (void)cache.acquire(0, t2, [&] { return build_op(simo, t2); });
-  (void)cache.acquire(1, t1, [&] { return build_op(simo, t1); });
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.stats().entries, 3u);
-}
-
-TEST(ShiftCache, EvictsLeastRecentlyUsedFirst) {
-  const auto model = make_model(1.05, 11, 20, 2);
-  const SimoRealization simo(model);
-  ShiftFactorizationCache cache(2);
-
-  const Complex ta(0.0, 1.0), tb(0.0, 2.0), tc(0.0, 3.0);
-  (void)cache.acquire(0, ta, [&] { return build_op(simo, ta); });
-  (void)cache.acquire(0, tb, [&] { return build_op(simo, tb); });
-  // Touch A so B becomes the least recently used entry.
-  (void)cache.acquire(0, ta, [&] { return build_op(simo, ta); });
-  // Inserting C must evict B, not A.
-  (void)cache.acquire(0, tc, [&] { return build_op(simo, tc); });
-
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_TRUE(cache.contains(0, ta));
-  EXPECT_FALSE(cache.contains(0, tb));
-  EXPECT_TRUE(cache.contains(0, tc));
-}
-
-TEST(ShiftCache, KernelBackendIsPartOfTheKey) {
-  const auto model = make_model(1.05, 14, 20, 2);
-  const SimoRealization simo(model);
-  ShiftFactorizationCache cache(8);
-
-  const Complex t(0.0, 1.0);
-  const auto tuned = cache.acquire(
-      0, t, [&] { return build_op(simo, t); }, la::KernelBackend::kTuned);
-  // Same revision and shift, other backend: must be a distinct entry —
-  // serving a tuned operator to a reference solve would silently
-  // change the compute substrate mid-session.
-  const auto ref = cache.acquire(
-      0, t, [&] { return build_op(simo, t); }, la::KernelBackend::kReference);
-  EXPECT_NE(tuned.get(), ref.get());
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().entries, 2u);
-
-  EXPECT_TRUE(cache.contains(0, t, la::KernelBackend::kTuned));
-  EXPECT_TRUE(cache.contains(0, t, la::KernelBackend::kReference));
-  EXPECT_EQ(cache.stats().hits, 0u);
-  const auto again = cache.acquire(
-      0, t, [&] { return build_op(simo, t); }, la::KernelBackend::kReference);
-  EXPECT_EQ(again.get(), ref.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(ShiftCache, RevisionInvalidationDropsStaleEntries) {
-  const auto model = make_model(1.05, 12, 20, 2);
-  const SimoRealization simo(model);
-  ShiftFactorizationCache cache(8);
-
-  const Complex ta(0.0, 1.0), tb(0.0, 2.0);
-  (void)cache.acquire(0, ta, [&] { return build_op(simo, ta); });
-  (void)cache.acquire(1, tb, [&] { return build_op(simo, tb); });
-  cache.invalidate_before(1);
-  EXPECT_FALSE(cache.contains(0, ta));
-  EXPECT_TRUE(cache.contains(1, tb));
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
-
-TEST(ShiftCache, ConcurrentAcquireIsSafeAndCoherent) {
-  const auto model = make_model(1.05, 13, 24, 2);
-  const SimoRealization simo(model);
-  ShiftFactorizationCache cache(64);
-
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kIters = 200;
-  std::atomic<std::size_t> builds{0};
-  std::vector<std::thread> pool;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&, t] {
-      for (std::size_t i = 0; i < kIters; ++i) {
-        // 16 distinct shifts hammered from every thread.
-        const Complex theta(0.0, 1.0 + static_cast<double>((t + i) % 16));
-        const auto op = cache.acquire(0, theta, [&] {
-          builds.fetch_add(1);
-          return build_op(simo, theta);
-        });
-        ASSERT_NE(op, nullptr);
-        EXPECT_EQ(op->shift(), theta);
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, kThreads * kIters);
-  EXPECT_EQ(stats.entries, 16u);
-  // Duplicate racing builds are allowed but every miss built at most
-  // once, and hits dominate by construction.
-  EXPECT_GE(builds.load(), 16u);
-  EXPECT_EQ(builds.load(), stats.misses);
-  EXPECT_GT(stats.hits, stats.misses);
 }
 
 // ---- SolverSession ----------------------------------------------------
@@ -168,21 +38,26 @@ TEST(Session, ColdSolveMatchesClassicApiBitForBit) {
   core::SolverOptions opt;
   opt.threads = 1;
 
-  const auto classic = passivity::characterize_passivity(simo, opt);
+  const auto classic = core::ParallelHamiltonianEigensolver(simo).solve(opt);
 
   SolverSession session{SimoRealization(simo)};
   const auto report = passivity::characterize_passivity(session, opt);
 
   ASSERT_EQ(report.crossings.size(), classic.crossings.size());
   for (std::size_t i = 0; i < report.crossings.size(); ++i) {
-    EXPECT_DOUBLE_EQ(report.crossings[i], classic.crossings[i]);
+    EXPECT_EQ(report.crossings[i], classic.crossings[i]);
   }
-  EXPECT_EQ(report.solver.total_matvecs, classic.solver.total_matvecs);
-  EXPECT_EQ(report.solver.shifts_processed, classic.solver.shifts_processed);
+  ASSERT_EQ(report.solver.eigenvalues.size(), classic.eigenvalues.size());
+  for (std::size_t i = 0; i < classic.eigenvalues.size(); ++i) {
+    EXPECT_EQ(report.solver.eigenvalues[i], classic.eigenvalues[i]);
+  }
+  EXPECT_EQ(report.solver.total_matvecs, classic.total_matvecs);
+  EXPECT_EQ(report.solver.shifts_processed, classic.shifts_processed);
+  EXPECT_EQ(report.solver.factorizations, classic.factorizations);
   EXPECT_FALSE(report.solver.warm_started);
 }
 
-TEST(Session, SameRevisionResolveIsWarmCachedAndCheaper) {
+TEST(Session, SameRevisionResolveIsWarmAndCheaper) {
   const auto model = make_model(1.07, 21);
   SolverSession session(model);
   core::SolverOptions opt;
@@ -196,16 +71,45 @@ TEST(Session, SameRevisionResolveIsWarmCachedAndCheaper) {
   const auto warm = session.solve(opt);
   EXPECT_TRUE(warm.warm_started);
   EXPECT_GT(warm.seeded_shifts, 0u);
-  // Identical revision: the previous disk plan is re-solved and the
-  // seed factorizations come out of the cache (a few fresh ones may
-  // appear when a re-derived radius leaves a sliver to mop up).
-  EXPECT_GT(warm.cache_hits, 0u);
-  EXPECT_LT(warm.factorizations, cold.factorizations);
+  // Identical revision: the previous disk plan is re-solved, so the
+  // band estimate is skipped.
   EXPECT_EQ(warm.lambda_max_matvecs, 0u);
   EXPECT_LT(warm.total_matvecs, cold.total_matvecs);
 
   const double tol = 1e-5 * model.max_pole_magnitude();
   EXPECT_TRUE(test::frequencies_match(warm.crossings, cold.crossings, tol));
+}
+
+TEST(Session, EveryShiftBuildsOneFactorization) {
+  // Each processed shift builds its own shift-and-invert operator —
+  // cold, same-revision warm and post-update warm alike — and the
+  // session's total is the sum over its solves.
+  const auto model = make_model(1.07, 22);
+  SolverSession session(model);
+  core::SolverOptions opt;
+  opt.threads = 1;
+
+  const auto cold = session.solve(opt);
+  const auto same = session.solve(opt);
+  la::RealMatrix c = session.realization().c();
+  c *= 0.995;
+  session.update_residues(c);
+  const auto next = session.solve(opt);
+  ASSERT_FALSE(cold.warm_started);
+  ASSERT_TRUE(same.warm_started);
+  ASSERT_TRUE(next.warm_started);
+
+  std::size_t total = 0;
+  for (const core::SolverResult* r : {&cold, &same, &next}) {
+    EXPECT_GT(r->shifts_processed, 0u);
+    EXPECT_EQ(r->factorizations, r->shifts_processed);
+    total += r->factorizations;
+  }
+  const auto stats = session.stats();
+  EXPECT_EQ(stats.solves, 3u);
+  EXPECT_EQ(stats.factorizations, total);
+  EXPECT_EQ(stats.cache.hits, 0u);
+  EXPECT_EQ(stats.cache.misses, 0u);
 }
 
 class SessionEquivalence : public ::testing::TestWithParam<int> {};
@@ -243,20 +147,19 @@ TEST_P(SessionEquivalence, WarmResolveFindsSameOmegaAsColdSolve) {
 
 INSTANTIATE_TEST_SUITE_P(Models, SessionEquivalence, ::testing::Range(0, 3));
 
-TEST(Session, UpdateResiduesBumpsRevisionAndInvalidates) {
+TEST(Session, UpdateResiduesBumpsRevisionAndKeepsWarmStart) {
   const auto model = make_model(1.06, 40, 24, 2);
   SolverSession session(model);
   core::SolverOptions opt;
   opt.threads = 1;
   (void)session.solve(opt);
-  ASSERT_GT(session.cache_stats().entries, 0u);
   ASSERT_EQ(session.revision(), 0u);
 
   la::RealMatrix c = session.realization().c();
   c *= 0.99;
   session.update_residues(c);
   EXPECT_EQ(session.revision(), 1u);
-  EXPECT_EQ(session.cache_stats().entries, 0u);  // stale ops purged
+  EXPECT_EQ(test::max_abs_diff(session.realization().c(), c), 0.0);
   // The warm-start record survives the revision bump.
   EXPECT_TRUE(session.warm_start().valid);
   EXPECT_EQ(session.warm_start().revision, 0u);
@@ -304,11 +207,10 @@ TEST(Session, LargeResidueDriftReestimatesTheBand) {
   EXPECT_EQ(warm2.lambda_max_matvecs, 0u);
 }
 
-TEST(Session, EnforcementRecharacterizationsHitTheCache) {
-  // Acceptance criterion: on a non-passive demo model, the enforcement
-  // loop's second and later characterizations report >= 1
-  // factorization-cache hit and strictly fewer total matvecs than the
-  // initial cold characterization.
+TEST(Session, EnforcementRecharacterizationsAreWarmAndCheaper) {
+  // On a non-passive demo model, the enforcement loop's second and
+  // later characterizations are warm-started and spend strictly fewer
+  // total matvecs than the initial cold characterization.
   const auto model = make_model(1.15, 70);
   SolverSession session(model);
 
@@ -321,34 +223,12 @@ TEST(Session, EnforcementRecharacterizationsHitTheCache) {
 
   const auto& first = result.history.front();
   EXPECT_FALSE(first.warm_started);
-  EXPECT_EQ(first.cache_hits, 0u);
   for (std::size_t i = 1; i < result.history.size(); ++i) {
     const auto& round = result.history[i];
     EXPECT_TRUE(round.warm_started) << "round " << i;
-    EXPECT_GE(round.cache_hits, 1u) << "round " << i;
     EXPECT_LT(round.solver_matvecs, first.solver_matvecs) << "round " << i;
   }
-  EXPECT_GT(result.cache_hits, 0u);
   EXPECT_EQ(result.characterizations, result.history.size());
-}
-
-TEST(Session, CompatOverloadMatchesSessionEnforcement) {
-  // The compatibility overload must land on the same perturbed model.
-  const auto model = make_model(1.06, 60);
-  SimoRealization via_compat(model);
-  passivity::EnforcementOptions eopt;
-  eopt.solver.threads = 1;
-  const auto compat = passivity::enforce_passivity(via_compat, eopt);
-
-  SolverSession session(model);
-  const auto direct = passivity::enforce_passivity(session, eopt);
-
-  EXPECT_EQ(compat.success, direct.success);
-  EXPECT_EQ(compat.iterations, direct.iterations);
-  EXPECT_NEAR(compat.relative_model_change, direct.relative_model_change,
-              1e-12);
-  EXPECT_LT(
-      test::max_abs_diff(via_compat.c(), session.realization().c()), 1e-12);
 }
 
 }  // namespace

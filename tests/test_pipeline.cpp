@@ -173,12 +173,10 @@ TEST(Pipeline, EndToEndEnforcesPassivity) {
   EXPECT_EQ(result.ports, 2u);
 
   // One session carried the job: the enforcement rounds and the verify
-  // stage were warm-started and re-used cached factorizations.
+  // stage were warm-started.
   EXPECT_GE(result.session.solves, 3u);  // characterize + >=1 round + verify
   EXPECT_GE(result.session.warm_solves, 2u);
-  EXPECT_GT(result.session.cache.hits, 0u);
-  EXPECT_GT(result.final_report.solver.cache_hits, 0u)
-      << "verify stage did not reuse the enforcement factorizations";
+  EXPECT_TRUE(result.final_report.solver.warm_started);
 }
 
 TEST(Pipeline, StopAfterFitShortCircuits) {
@@ -396,9 +394,10 @@ TEST(Pipeline, SummaryJsonAndCsvAreWrittenAndParseable) {
   EXPECT_NE(json.find("\"status\": \"enforced\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"stopped@fit\""), std::string::npos);
   // The full job's session stats are reported verbatim.
-  const std::string hits_field =
-      "\"cache_hits\": " + std::to_string(results[0].session.cache.hits);
-  EXPECT_NE(json.find(hits_field), std::string::npos) << json;
+  const std::string factorizations_field =
+      "\"factorizations\": " +
+      std::to_string(results[0].session.factorizations);
+  EXPECT_NE(json.find(factorizations_field), std::string::npos) << json;
   EXPECT_NE(json.find("\"summary\": { \"jobs\": 2, \"succeeded\": 2"),
             std::string::npos);
   // A fit-only job reports no characterize products.
@@ -412,13 +411,13 @@ TEST(Pipeline, SummaryJsonAndCsvAreWrittenAndParseable) {
   std::string header_line;
   ASSERT_TRUE(std::getline(cf, header_line));
   const auto header = split_csv_line(header_line);
-  std::size_t hits_col = header.size();
+  std::size_t factorizations_col = header.size();
   std::size_t status_col = header.size();
   for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == "cache_hits") hits_col = i;
+    if (header[i] == "factorizations") factorizations_col = i;
     if (header[i] == "status") status_col = i;
   }
-  ASSERT_LT(hits_col, header.size());
+  ASSERT_LT(factorizations_col, header.size());
   ASSERT_LT(status_col, header.size());
 
   std::string row;
@@ -428,28 +427,15 @@ TEST(Pipeline, SummaryJsonAndCsvAreWrittenAndParseable) {
     ASSERT_EQ(cells.size(), header.size()) << row;
     if (rows == 0) {
       EXPECT_EQ(cells[status_col], "enforced");
-      EXPECT_EQ(cells[hits_col],
-                std::to_string(results[0].session.cache.hits));
+      EXPECT_EQ(cells[factorizations_col],
+                std::to_string(results[0].session.factorizations));
     } else {
       EXPECT_EQ(cells[status_col], "stopped@fit");
-      EXPECT_EQ(cells[hits_col], "0");
+      EXPECT_EQ(cells[factorizations_col], "0");
     }
     ++rows;
   }
   EXPECT_EQ(rows, 2u);
-}
-
-TEST(Pipeline, SummaryTableHasCacheColumn) {
-  auto job = make_job(non_passive_samples(7));
-  job.options.stop_after = Stage::kCharacterize;
-  const auto result = run_pipeline(job);
-  ASSERT_TRUE(result.ok) << result.error;
-  const auto table = pipeline::summary_table({result});
-  std::ostringstream os;
-  table.print(os);
-  EXPECT_NE(os.str().find("cache"), std::string::npos);
-  // A cold single characterization: all misses, zero hits.
-  EXPECT_NE(os.str().find("0/"), std::string::npos) << os.str();
 }
 
 TEST(Pipeline, AlreadyPassiveModelSkipsEnforcement) {

@@ -40,8 +40,6 @@ JobTrace sample_trace(std::uint64_t id) {
   span.duration_ms = 800.25;
   span.matvecs = 1234;
   span.factorizations = 7;
-  span.cache_hits = 3;
-  span.cache_misses = 4;
   t.spans.push_back(span);
   span = StageSpan{};
   span.stage = "verify";
@@ -51,8 +49,6 @@ JobTrace sample_trace(std::uint64_t id) {
   t.solves = 9;
   t.warm_solves = 5;
   t.factorizations = 7;
-  t.cache_hits = 11;
-  t.cache_misses = 6;
   return t;
 }
 
@@ -137,17 +133,12 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
   };
   result.initial_report.solver.total_matvecs = 100;
   result.initial_report.solver.factorizations = 3;
-  result.initial_report.solver.cache_hits = 1;
-  result.initial_report.solver.cache_misses = 2;
   result.enforcement.total_matvecs = 70;
-  result.enforcement.cache_hits = 6;
-  result.enforcement.cache_misses = 1;
   result.final_report.solver.total_matvecs = 40;
-  result.final_report.solver.cache_hits = 5;
+  result.final_report.solver.factorizations = 5;
   result.session.solves = 8;
   result.session.warm_solves = 6;
-  result.session.cache.hits = 9;
-  result.session.cache.misses = 4;
+  result.session.factorizations = 9;
 
   const JobTrace trace =
       server::build_job_trace(result, 1000.0, 1000.5, 500.0);
@@ -159,19 +150,17 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
   EXPECT_EQ(trace.spans[1].stage, "characterize");
   EXPECT_EQ(trace.spans[1].matvecs, 100u);
   EXPECT_EQ(trace.spans[1].factorizations, 3u);
-  EXPECT_EQ(trace.spans[1].cache_misses, 2u);
   EXPECT_EQ(trace.spans[2].stage, "enforce");
   EXPECT_EQ(trace.spans[2].matvecs, 70u);
-  EXPECT_EQ(trace.spans[2].cache_hits, 6u);
-  EXPECT_EQ(trace.spans[2].cache_misses, 1u);
+  EXPECT_EQ(trace.spans[2].factorizations, 0u);
   EXPECT_EQ(trace.spans[3].stage, "verify");
   EXPECT_EQ(trace.spans[3].matvecs, 40u);
-  EXPECT_EQ(trace.spans[3].cache_hits, 5u);
+  EXPECT_EQ(trace.spans[3].factorizations, 5u);
   // Span start = job start + the stage's offset into the run.
   EXPECT_NEAR(trace.spans[1].start_unix, 1000.6, 1e-6);
   EXPECT_EQ(trace.solves, 8u);
   EXPECT_EQ(trace.warm_solves, 6u);
-  EXPECT_EQ(trace.cache_hits, 9u);
+  EXPECT_EQ(trace.factorizations, 9u);
 }
 
 // ---- trace op integration ---------------------------------------------
@@ -223,13 +212,6 @@ TEST(TraceOp, FullPipelineJobYieldsOrderedSpans) {
   EXPECT_GT(trace.spans[4].matvecs, 0u);   // enforce
   EXPECT_GT(trace.spans[5].matvecs, 0u);   // verify
   EXPECT_GT(trace.solves, 0u);
-  // Every session solve ran in one of those three stages, so their
-  // cache lookups add up to the job's session totals.
-  std::size_t stage_lookups = 0;
-  for (std::size_t i = 3; i < 6; ++i) {
-    stage_lookups += trace.spans[i].cache_hits + trace.spans[i].cache_misses;
-  }
-  EXPECT_EQ(stage_lookups, trace.cache_hits + trace.cache_misses);
 
   // The aggregate layer saw the same job: per-stage histograms and the
   // job counter are registry-backed.
